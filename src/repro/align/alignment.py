@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ..errors import AlignmentError
-from .path import AlignmentPath, Move
+from .path import AlignmentPath
 from .sequence import Sequence, as_sequence
 
 __all__ = ["GAP", "Alignment", "AlignmentStats", "alignment_from_path"]
@@ -158,6 +160,14 @@ class Alignment:
         )
 
 
+def _gapped(text: str, consumes: np.ndarray) -> str:
+    """``text`` laid out over the columns where ``consumes`` is set, with
+    gaps in the others (UTF-32 code points, so any alphabet works)."""
+    out = np.full(len(consumes), ord(GAP), dtype=np.uint32)
+    out[consumes] = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    return out.tobytes().decode("utf-32-le")
+
+
 def alignment_from_path(
     seq_a, seq_b, path: AlignmentPath, score: int, algorithm: str = "",
     stats: Optional[AlignmentStats] = None,
@@ -172,28 +182,14 @@ def alignment_from_path(
         raise AlignmentError(
             f"path spans {path.start}..{path.end}, expected (0, 0)..({len(a)}, {len(b)})"
         )
-    ga: list[str] = []
-    gb: list[str] = []
-    i = j = 0
-    for move in path.moves():
-        if move is Move.DIAG:
-            ga.append(a.text[i])
-            gb.append(b.text[j])
-            i += 1
-            j += 1
-        elif move is Move.DOWN:
-            ga.append(a.text[i])
-            gb.append(GAP)
-            i += 1
-        else:  # RIGHT
-            ga.append(GAP)
-            gb.append(b.text[j])
-            j += 1
+    # Each step consumes a symbol of ``a`` (di = 1) and/or of ``b``
+    # (dj = 1); a complete path consumes every symbol exactly once.
+    steps = np.diff(path.array, axis=0).astype(bool)
     return Alignment(
         seq_a=a,
         seq_b=b,
-        gapped_a="".join(ga),
-        gapped_b="".join(gb),
+        gapped_a=_gapped(a.text, steps[:, 0]),
+        gapped_b=_gapped(b.text, steps[:, 1]),
         score=int(score),
         path=path,
         algorithm=algorithm,

@@ -42,7 +42,7 @@ def parse_fasta(stream: TextIO) -> Iterator[Sequence]:
         else:
             if name is None:
                 raise FastaError(f"line {lineno}: sequence data before any '>' header")
-            if any(ch.isspace() for ch in line):
+            if line.split() != [line]:  # any str.isspace() character
                 raise FastaError(f"line {lineno}: whitespace inside sequence data")
             chunks.append(line)
     if name is not None:

@@ -14,8 +14,11 @@ resume mid-gap.
 
 from __future__ import annotations
 
+import itertools
 from enum import IntEnum
 from typing import Iterable, Iterator, List, Sequence as Seq, Tuple
+
+import numpy as np
 
 from ..errors import PathError
 
@@ -96,23 +99,31 @@ class AlignmentPath:
     alignment), the last point the terminus (``(m, n)``).
     """
 
-    __slots__ = ("_points",)
+    __slots__ = ("_points", "_array")
 
     def __init__(self, points: Seq[Point]) -> None:
-        pts = tuple((int(i), int(j)) for i, j in points)
-        if not pts:
+        arr = _point_array(points)
+        if not len(arr):
             raise PathError("a path must contain at least one point")
-        for (i0, j0), (i1, j1) in zip(pts, pts[1:]):
-            if (i1 - i0, j1 - j0) not in ((1, 1), (1, 0), (0, 1)):
-                raise PathError(
-                    f"illegal path step from {(i0, j0)} to {(i1, j1)}"
-                )
-        self._points = pts
+        bad = _first_illegal(np.diff(arr, axis=0))
+        if bad >= 0:
+            raise PathError(
+                f"illegal path step from {tuple(arr[bad].tolist())} "
+                f"to {tuple(arr[bad + 1].tolist())}"
+            )
+        arr.flags.writeable = False
+        self._array = arr
+        self._points = tuple(zip(arr[:, 0].tolist(), arr[:, 1].tolist()))
 
     @property
     def points(self) -> Tuple[Point, ...]:
         """The path points in forward order."""
         return self._points
+
+    @property
+    def array(self) -> np.ndarray:
+        """The points as a read-only ``(len, 2)`` int64 array."""
+        return self._array
 
     @property
     def start(self) -> Point:
@@ -141,7 +152,7 @@ class AlignmentPath:
 
     def moves(self) -> List[Move]:
         """Forward move list (length ``len(self) - 1``)."""
-        return moves_of(self._points)
+        return _moves(np.diff(self._array, axis=0))
 
     def is_complete(self, m: int, n: int) -> bool:
         """Whether the path spans the full ``(0,0) → (m,n)`` DPM."""
@@ -154,17 +165,37 @@ class AlignmentPath:
         return f"AlignmentPath([{head}, ..., {self._points[-1]}], len={len(self._points)})"
 
 
+def _point_array(points: Seq[Point]) -> np.ndarray:
+    """Points as an ``(L, 2)`` int64 array (``L`` may be 0)."""
+    flat = np.fromiter(itertools.chain.from_iterable(points), dtype=np.int64)
+    if flat.size != 2 * len(points):
+        raise PathError("path points must be (i, j) pairs")
+    return flat.reshape(-1, 2)
+
+
+def _first_illegal(steps: np.ndarray) -> int:
+    """Index of the first ``(di, dj)`` row that is not a DP move, else -1."""
+    legal = ((steps == 0) | (steps == 1)).all(axis=1) & steps.any(axis=1)
+    return -1 if legal.all() else int(np.argmin(legal))
+
+
+_MOVES = (Move.DIAG, Move.DOWN, Move.RIGHT)
+
+
+def _moves(steps: np.ndarray) -> List[Move]:
+    # (1, 1) -> DIAG, (1, 0) -> DOWN, (0, 1) -> RIGHT
+    codes = (1 - steps[:, 1]) + 2 * (1 - steps[:, 0])
+    return list(map(_MOVES.__getitem__, codes.tolist()))
+
+
 def moves_of(points: Seq[Point]) -> List[Move]:
     """Convert consecutive forward-ordered points into :class:`Move` steps."""
-    out: List[Move] = []
-    for (i0, j0), (i1, j1) in zip(points, points[1:]):
-        d = (i1 - i0, j1 - j0)
-        if d == (1, 1):
-            out.append(Move.DIAG)
-        elif d == (1, 0):
-            out.append(Move.DOWN)
-        elif d == (0, 1):
-            out.append(Move.RIGHT)
-        else:
-            raise PathError(f"illegal step {d} between {(i0, j0)} and {(i1, j1)}")
-    return out
+    arr = _point_array(points)
+    steps = np.diff(arr, axis=0)
+    bad = _first_illegal(steps)
+    if bad >= 0:
+        raise PathError(
+            f"illegal step {tuple(steps[bad].tolist())} between "
+            f"{tuple(arr[bad].tolist())} and {tuple(arr[bad + 1].tolist())}"
+        )
+    return _moves(steps)

@@ -38,7 +38,8 @@ class Sequence:
             raise SequenceError(f"sequence text must be str, got {type(self.text).__name__}")
         if not self.name:
             raise SequenceError("sequence name must be non-empty")
-        if any(ch.isspace() for ch in self.text):
+        # str.split() breaks on exactly the str.isspace() characters.
+        if self.text and self.text.split() != [self.text]:
             raise SequenceError(f"sequence {self.name!r} contains whitespace")
 
     def __len__(self) -> int:

@@ -70,12 +70,15 @@ def _quick_score_cell(query, target, scheme, mode, cfg):
     from :func:`local_best_cell` in local mode — fed back to
     :func:`fastlsa_local` via ``best_cell=`` so materialising the full
     alignment for a kept hit skips the sweep already paid for here —
-    and ``None`` for the other modes.
+    and ``None`` for the other modes.  Every sweep runs on the tier
+    ``cfg.kernel`` selects, also inside pool workers (which do not inherit
+    the caller's registry context).
     """
-    if mode == "local":
-        cell = local_best_cell(query, target, scheme)
-        return cell[0], cell
-    return _quick_score(query, target, scheme, mode, cfg), None
+    with registry.use(getattr(cfg, "kernel", None)):
+        if mode == "local":
+            cell = local_best_cell(query, target, scheme)
+            return cell[0], cell
+        return _quick_score(query, target, scheme, mode, cfg), None
 
 
 def _quick_score(query, target, scheme, mode, cfg) -> int:
@@ -194,9 +197,7 @@ def _score_all(q, seqs, scheme, mode, cfg, executor, max_workers, lanes=None):
     """Score every target, optionally fanning out on a thread pool.
 
     Returns ``(scores, cells)``; ``cells[i]`` is the local-mode best-cell
-    hint for target ``i`` (``None`` outside local mode).  The kernel tier
-    is resolved here and re-installed inside pool workers, which do not
-    inherit the caller's registry context.
+    hint for target ``i`` (``None`` outside local mode).
 
     Sequential homogeneous workloads — ``local`` mode, or ``global`` with
     no band — route through the lane-packed batch kernels when the
@@ -215,8 +216,7 @@ def _score_all(q, seqs, scheme, mode, cfg, executor, max_workers, lanes=None):
                 return _score_lanes(q, seqs, scheme, mode, cfg, tier, n_lanes)
 
     def one(t):
-        with registry.use(tier):
-            return _quick_score_cell(q, t, scheme, mode, cfg)
+        return _quick_score_cell(q, t, scheme, mode, cfg)
 
     if executor is None and max_workers is None:
         pairs = [one(t) for t in seqs]

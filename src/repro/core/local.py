@@ -22,15 +22,13 @@ from __future__ import annotations
 import time
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..align.sequence import as_sequence
 from ..baselines.smith_waterman import LocalAlignment
 from ..align.alignment import alignment_from_path
 from ..align.path import AlignmentPath
 from ..kernels import registry
-from ..kernels.affine import NEG_INF
 from ..kernels.ops import KernelInstruments
+from ..obs import runtime as obs
 from ..scoring.scheme import ScoringScheme
 from .config import FastLSAConfig, resolve_config
 from .fastlsa import fastlsa
@@ -55,78 +53,25 @@ def local_best_cell(
     return _best_cell_local(scheme.encode(a.text), scheme.encode(b.text), scheme, counter)
 
 
-def _best_cell_local(a_codes, b_codes, scheme: ScoringScheme, counter) -> Tuple[int, int, int]:
-    """Rolling clamped (Smith–Waterman) sweep; returns ``(score, i, j)``
-    of the best cell, preferring the first row-major maximum.
+def _best_cell_local(
+    a_codes, b_codes, scheme: ScoringScheme, counter, *, clamp: bool = True
+) -> Tuple[int, int, int]:
+    """Rolling best-cell sweep; returns ``(score, i, j)`` of the first
+    row-major maximum.
 
+    Clamped (Smith–Waterman) by default; ``clamp=False`` runs the global
+    recurrence, which over the reversed prefixes locates the start cell.
     Dispatches to the active kernel tier (:mod:`repro.kernels.registry`).
     """
     table = scheme.matrix.table
     if scheme.is_linear:
         return registry.active("linear").best_cell_local(
-            a_codes, b_codes, table, scheme.gap_open, counter
+            a_codes, b_codes, table, scheme.gap_open, counter, clamp=clamp
         )
     return registry.active("affine").best_cell_local(
-        a_codes, b_codes, table, scheme.gap_open, scheme.gap_extend, counter
+        a_codes, b_codes, table, scheme.gap_open, scheme.gap_extend, counter,
+        clamp=clamp,
     )
-
-
-def _best_cell_global(a_codes, b_codes, scheme: ScoringScheme, counter) -> Tuple[int, int, int]:
-    """Rolling global (NW) sweep tracking the maximum ``H`` over all cells.
-
-    Used on reversed prefixes to locate the local alignment's start.
-    """
-    table = scheme.matrix.table
-    M, N = len(a_codes), len(b_codes)
-    if counter is not None:
-        counter.add_cells(M * N)
-    best, bi, bj = 0, 0, 0  # the empty alignment at the origin scores 0
-    if M == 0 or N == 0:
-        return best, bi, bj
-    if scheme.is_linear:
-        gap = scheme.gap_open
-        gj = np.arange(N + 1, dtype=np.int64) * gap
-        prev = gj.copy()
-        t = np.empty(N + 1, dtype=np.int64)
-        for i in range(1, M + 1):
-            s = table[a_codes[i - 1]][b_codes]
-            v = np.maximum(prev[:-1] + s, prev[1:] + gap)
-            t[0] = i * gap
-            np.subtract(v, gj[1:], out=t[1:])
-            np.maximum.accumulate(t, out=t)
-            cur = t + gj
-            cur[0] = i * gap
-            rm = int(np.argmax(cur))
-            if cur[rm] > best:
-                best, bi, bj = int(cur[rm]), i, rm
-            prev = cur
-        return best, bi, bj
-    open_, extend = scheme.gap_open, scheme.gap_extend
-    from ..kernels.affine import affine_boundaries
-
-    row_h, row_f, col_h, col_e = affine_boundaries(M, N, open_, extend)
-    ej = np.arange(N + 1, dtype=np.int64) * extend
-    prev_h = row_h.copy()
-    prev_f = row_f.copy()
-    t = np.empty(max(N, 1), dtype=np.int64)
-    for i in range(1, M + 1):
-        s = table[a_codes[i - 1]][b_codes]
-        cur_f = np.maximum(prev_h + open_, prev_f + extend)
-        cur_f[0] = NEG_INF
-        v = np.maximum(prev_h[:-1] + s, cur_f[1:])
-        t[0] = max(col_h[i] + open_ - extend, col_e[i])
-        if N > 1:
-            np.subtract(v[:-1] + (open_ - extend), ej[1:N], out=t[1:])
-        np.maximum.accumulate(t[:N], out=t[:N])
-        e = t[:N] + ej[1:]
-        cur_h = np.empty(N + 1, dtype=np.int64)
-        np.maximum(v, e, out=cur_h[1:])
-        cur_h[0] = col_h[i]
-        rm = int(np.argmax(cur_h))
-        if cur_h[rm] > best:
-            best, bi, bj = int(cur_h[rm]), i, rm
-        prev_h, prev_f = cur_h, cur_f
-    return best, bi, bj
 
 
 def fastlsa_local(
@@ -169,7 +114,10 @@ def fastlsa_local(
                 f"best_cell {best_cell} outside the {len(a_codes)}x{len(b_codes)} DPM"
             )
     else:
-        with registry.use(tier):
+        with registry.use(tier), obs.span(
+            "fastlsa.bracket", category="bracket", mode="local", phase="end",
+            cells=len(a_codes) * len(b_codes),
+        ):
             best, bi, bj = _best_cell_local(a_codes, b_codes, scheme, inst.ops)
     if best == 0:
         empty = alignment_from_path(
@@ -178,9 +126,12 @@ def fastlsa_local(
         )
         return LocalAlignment(empty, 0, 0, 0, 0, 0)
 
-    with registry.use(tier):
-        rbest, ri, rj = _best_cell_global(
-            a_codes[:bi][::-1], b_codes[:bj][::-1], scheme, inst.ops
+    with registry.use(tier), obs.span(
+        "fastlsa.bracket", category="bracket", mode="local", phase="start",
+        cells=bi * bj,
+    ):
+        rbest, ri, rj = _best_cell_local(
+            a_codes[:bi][::-1], b_codes[:bj][::-1], scheme, inst.ops, clamp=False
         )
     if rbest != best:
         raise AssertionError(

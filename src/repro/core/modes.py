@@ -10,7 +10,8 @@ The paper treats global alignment; practical homology search also needs
 * arbitrary combinations via :class:`EndsFree` flags.
 
 The construction mirrors :mod:`repro.core.local`'s three phases, all in
-linear space:
+linear space (the two bracketing sweeps run on the configured kernel
+tier):
 
 1. a rolling forward sweep with zeroed boundaries on the *free-start*
    sides finds the best score over the *free-end* region;
@@ -35,8 +36,10 @@ import numpy as np
 
 from ..align.alignment import Alignment
 from ..align.sequence import as_sequence
+from ..kernels import registry
 from ..kernels.affine import NEG_INF
 from ..kernels.ops import KernelInstruments
+from ..obs import runtime as obs
 from ..scoring.scheme import ScoringScheme
 from .config import FastLSAConfig, resolve_config
 from .fastlsa import fastlsa
@@ -146,10 +149,11 @@ def _sweep_best(
 
     The end region is: the corner always; the last column for any ``i``
     when ``end_rows_free`` (trailing ``a`` skippable); the last row for
-    any ``j`` when ``end_cols_free`` (trailing ``b`` skippable).
+    any ``j`` when ``end_cols_free`` (trailing ``b`` skippable).  One
+    last-row/last-column sweep on the active kernel tier; candidates are
+    taken in that order with strict ``>``, so ties keep the first.
     """
     M, N = len(a_codes), len(b_codes)
-    table = scheme.matrix.table
     row_h, col_h = _boundaries(scheme, M, N, free_a_start, free_b_start)
 
     best, bi, bj = None, 0, 0
@@ -176,59 +180,26 @@ def _sweep_best(
             im = int(np.argmax(col_h))
             consider(col_h[im], im, 0)
         return best, bi, bj
-    if counter is not None:
-        counter.add_cells(M * N)
 
+    table = scheme.matrix.table
     if scheme.is_linear:
-        gap = scheme.gap_open
-        gj = np.arange(N + 1, dtype=np.int64) * gap
-        prev = row_h.copy()
-        t = np.empty(N + 1, dtype=np.int64)
-        for i in range(1, M + 1):
-            s = table[a_codes[i - 1]][b_codes]
-            v = np.maximum(prev[:-1] + s, prev[1:] + gap)
-            t[0] = col_h[i]
-            np.subtract(v, gj[1:], out=t[1:])
-            np.maximum.accumulate(t, out=t)
-            cur = t + gj
-            cur[0] = col_h[i]
-            if end_rows_free:
-                consider(cur[N], i, N)
-            if i == M:
-                consider(cur[N], M, N)
-                if end_cols_free:
-                    jm = int(np.argmax(cur))
-                    consider(cur[jm], M, jm)
-            prev = cur
-        return best, bi, bj
-
-    open_, extend = scheme.gap_open, scheme.gap_extend
-    ej = np.arange(N + 1, dtype=np.int64) * extend
-    prev_h = row_h.copy()
-    prev_f = np.full(N + 1, NEG_INF, dtype=np.int64)
-    col_e = np.full(M + 1, NEG_INF, dtype=np.int64)
-    t = np.empty(N, dtype=np.int64)
-    for i in range(1, M + 1):
-        s = table[a_codes[i - 1]][b_codes]
-        cur_f = np.maximum(prev_h + open_, prev_f + extend)
-        cur_f[0] = NEG_INF
-        v = np.maximum(prev_h[:-1] + s, cur_f[1:])
-        t[0] = max(col_h[i] + open_ - extend, col_e[i])
-        if N > 1:
-            np.subtract(v[:-1] + (open_ - extend), ej[1:N], out=t[1:])
-        np.maximum.accumulate(t, out=t)
-        e = t + ej[1:]
-        cur_h = np.empty(N + 1, dtype=np.int64)
-        np.maximum(v, e, out=cur_h[1:])
-        cur_h[0] = col_h[i]
-        if end_rows_free:
-            consider(cur_h[N], i, N)
-        if i == M:
-            consider(cur_h[N], M, N)
-            if end_cols_free:
-                jm = int(np.argmax(cur_h))
-                consider(cur_h[jm], M, jm)
-        prev_h, prev_f = cur_h, cur_f
+        last_row, last_col = registry.active("linear").sweep_last_row_col(
+            a_codes, b_codes, table, scheme.gap_open, row_h, col_h, counter
+        )
+    else:
+        no_gap_row = np.full(N + 1, NEG_INF, dtype=np.int64)
+        no_gap_col = np.full(M + 1, NEG_INF, dtype=np.int64)
+        last_row, _, last_col, _ = registry.active("affine").sweep_last_row_col(
+            a_codes, b_codes, table, scheme.gap_open, scheme.gap_extend,
+            row_h, no_gap_row, col_h, no_gap_col, counter,
+        )
+    if end_rows_free:
+        im = int(np.argmax(last_col))
+        consider(last_col[im], im, N)
+    consider(last_row[N], M, N)
+    if end_cols_free:
+        jm = int(np.argmax(last_row))
+        consider(last_row[jm], M, jm)
     return best, bi, bj
 
 
@@ -246,9 +217,9 @@ def ends_free_align(
 
     The aligned core is bracketed by two rolling sweeps and solved
     exactly with FastLSA under the configured budget.  Parameterize via
-    ``config=`` (including ``band``/``kernel``, which apply to the
-    bracketed core's FastLSA run); the legacy ``k=`` / ``base_cells=``
-    keywords now raise ConfigError.
+    ``config=`` (``kernel`` selects the tier of both sweeps and of the
+    core's FastLSA run, ``band`` applies to the core); the legacy ``k=`` /
+    ``base_cells=`` keywords now raise ConfigError.
     """
     cfg = resolve_config(config, k, base_cells, where="ends_free_align")
     a = as_sequence(seq_a, "a")
@@ -258,24 +229,29 @@ def ends_free_align(
     a_codes = scheme.encode(a.text)
     b_codes = scheme.encode(b.text)
 
-    # Phase 1: best end over the free-end region.
-    best, ei, ej = _sweep_best(
-        a_codes, b_codes, scheme,
-        free_a_start=free.a_start, free_b_start=free.b_start,
-        end_rows_free=free.a_end, end_cols_free=free.b_end,
-        counter=inst.ops,
-    )
+    with registry.use(getattr(cfg, "kernel", None)):
+        # Phase 1: best end over the free-end region.
+        with obs.span("fastlsa.bracket", category="bracket", mode="ends_free",
+                      phase="end", cells=len(a_codes) * len(b_codes)):
+            best, ei, ej = _sweep_best(
+                a_codes, b_codes, scheme,
+                free_a_start=free.a_start, free_b_start=free.b_start,
+                end_rows_free=free.a_end, end_cols_free=free.b_end,
+                counter=inst.ops,
+            )
 
-    # Phase 2: best start via the reversed bracketed prefixes.  Skipped
-    # prefixes cost nothing, so the global score of the bracketed core
-    # equals `best`; the reversed sweep's free-END flags are the original
-    # free-START flags.
-    rbest, ri, rj = _sweep_best(
-        a_codes[:ei][::-1], b_codes[:ej][::-1], scheme,
-        free_a_start=False, free_b_start=False,
-        end_rows_free=free.a_start, end_cols_free=free.b_start,
-        counter=inst.ops,
-    )
+        # Phase 2: best start via the reversed bracketed prefixes.  Skipped
+        # prefixes cost nothing, so the global score of the bracketed core
+        # equals `best`; the reversed sweep's free-END flags are the
+        # original free-START flags.
+        with obs.span("fastlsa.bracket", category="bracket", mode="ends_free",
+                      phase="start", cells=ei * ej):
+            rbest, ri, rj = _sweep_best(
+                a_codes[:ei][::-1], b_codes[:ej][::-1], scheme,
+                free_a_start=False, free_b_start=False,
+                end_rows_free=free.a_start, end_cols_free=free.b_start,
+                counter=inst.ops,
+            )
     if rbest != best:
         raise AssertionError(
             f"ends-free sweeps disagree: {best} != {rbest} (library bug)"

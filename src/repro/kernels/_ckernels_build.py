@@ -42,10 +42,11 @@ int flsa_aff_sweep(const int16_t *a, long M, const int16_t *b, long N,
                    int64_t *samples_h, int64_t *samples_e);
 void flsa_lin_best_local(const int16_t *a, long M, const int16_t *b, long N,
                          const int64_t *table, long A, int64_t gap,
-                         int64_t *out3);
+                         int clamp, int64_t *out3);
 void flsa_aff_best_local(const int16_t *a, long M, const int16_t *b, long N,
                          const int64_t *table, long A,
-                         int64_t open_, int64_t extend, int64_t *out3);
+                         int64_t open_, int64_t extend, int clamp,
+                         int64_t *out3);
 void flsa_lin_band_fill(const int16_t *a, long M, const int16_t *b, long N,
                         const int64_t *table, long A, int64_t gap,
                         long dmin, long W, int64_t *B);
@@ -236,27 +237,33 @@ int flsa_aff_sweep(const int16_t *a, long M, const int16_t *b, long N,
     return 0;
 }
 
-/* Clamped Smith-Waterman sweep tracking the first row-major maximum. */
+/* Best-cell sweep tracking the first row-major strict maximum, starting
+ * from best = 0 at the origin.  clamp != 0: Smith-Waterman (zero floor,
+ * zero boundaries).  clamp == 0: the unclamped global recurrence with the
+ * leading-gap boundaries j*gap / i*gap (locates a local alignment's start
+ * when run over the reversed prefixes). */
 void flsa_lin_best_local(const int16_t *a, long M, const int16_t *b, long N,
                          const int64_t *table, long A, int64_t gap,
-                         int64_t *out3)
+                         int clamp, int64_t *out3)
 {
     int64_t best = 0;
     long bi = 0, bj = 0, i, j;
-    int64_t *buf = (int64_t *)calloc((size_t)(2 * (N + 1)), sizeof(int64_t));
+    int64_t *buf = (int64_t *)malloc((size_t)(2 * (N + 1)) * sizeof(int64_t));
     int64_t *prev = buf, *cur = buf + (N + 1);
     if (buf == NULL) { out3[0] = -1; out3[1] = -1; out3[2] = -1; return; }
+    for (j = 0; j <= N; j++) prev[j] = clamp ? 0 : gap * j;
     for (i = 1; i <= M; i++) {
         const int64_t *trow = table + (long)a[i - 1] * A;
         int64_t *tmp;
-        cur[0] = 0;
+        cur[0] = clamp ? 0 : gap * i;
+        if (cur[0] > best) { best = cur[0]; bi = i; bj = 0; }
         for (j = 1; j <= N; j++) {
             int64_t v = prev[j - 1] + trow[b[j - 1]];
             int64_t u = prev[j] + gap;
             int64_t c = cur[j - 1] + gap;
             int64_t h;
             if (u > v) v = u;
-            if (v < 0) v = 0;
+            if (clamp && v < 0) v = 0;
             h = v > c ? v : c;
             cur[j] = h;
             if (h > best) { best = h; bi = i; bj = j; }
@@ -267,10 +274,13 @@ void flsa_lin_best_local(const int16_t *a, long M, const int16_t *b, long N,
     out3[0] = best; out3[1] = bi; out3[2] = bj;
 }
 
-/* Clamped Gotoh sweep; same tie-breaking as the linear variant. */
+/* Gotoh best-cell sweep; same clamp switch and tie-breaking as the linear
+ * variant.  Unclamped boundaries: H = open + (j-1)*extend along row 0 and
+ * column 0, F = NEG_INF along row 0, E = NEG_INF along column 0. */
 void flsa_aff_best_local(const int16_t *a, long M, const int16_t *b, long N,
                          const int64_t *table, long A,
-                         int64_t open_, int64_t extend, int64_t *out3)
+                         int64_t open_, int64_t extend, int clamp,
+                         int64_t *out3)
 {
     int64_t best = 0;
     long bi = 0, bj = 0, i, j;
@@ -281,19 +291,24 @@ void flsa_aff_best_local(const int16_t *a, long M, const int16_t *b, long N,
     prev_f = buf + (N + 1);
     cur_h = buf + 2 * (N + 1);
     cur_f = buf + 3 * (N + 1);
-    for (j = 0; j <= N; j++) { prev_h[j] = 0; prev_f[j] = NEG_INF; }
+    for (j = 0; j <= N; j++) {
+        prev_h[j] = (clamp || j == 0) ? 0 : open_ + (j - 1) * extend;
+        prev_f[j] = NEG_INF;
+    }
     for (i = 1; i <= M; i++) {
         const int64_t *trow = table + (long)a[i - 1] * A;
-        int64_t e_prev = NEG_INF, h_left = 0, *tmp;
-        cur_h[0] = 0;
+        int64_t h0 = clamp ? 0 : open_ + (i - 1) * extend;
+        int64_t e_prev = NEG_INF, h_left = h0, *tmp;
+        cur_h[0] = h0;
         cur_f[0] = NEG_INF;
+        if (h0 > best) { best = h0; bi = i; bj = 0; }
         for (j = 1; j <= N; j++) {
             int64_t f = max2(prev_h[j] + open_, prev_f[j] + extend);
             int64_t v = prev_h[j - 1] + trow[b[j - 1]];
             int64_t e = max2(h_left + open_, e_prev + extend);
             int64_t h;
             if (f > v) v = f;
-            if (v < 0) v = 0;
+            if (clamp && v < 0) v = 0;
             h = v > e ? v : e;
             cur_h[j] = h;
             cur_f[j] = f;

@@ -286,10 +286,14 @@ def best_cell_local_affine(
     open_: int,
     extend: int,
     counter: Optional[OpCounter] = None,
+    *,
+    clamp: bool = True,
 ) -> Tuple[int, int, int]:
     """Affine analogue of :func:`repro.kernels.linear.best_cell_local`.
 
-    Clamped Gotoh sweep; same first-row-major-maximum tie-breaking.
+    Clamped Gotoh sweep by default; ``clamp=False`` runs the unclamped
+    global recurrence from the origin (the :func:`affine_boundaries`
+    boundaries).  Same first-row-major-maximum tie-breaking.
     """
     open_, extend = int(open_), int(extend)
     M, N = len(a_codes), len(b_codes)
@@ -299,7 +303,10 @@ def best_cell_local_affine(
     if M == 0 or N == 0:
         return best, bi, bj
     ej = np.arange(N + 1, dtype=np.int64) * extend
-    prev_h = np.zeros(N + 1, dtype=np.int64)
+    if clamp:
+        prev_h = np.zeros(N + 1, dtype=np.int64)
+    else:
+        prev_h = affine_boundaries(0, N, open_, extend)[0]
     prev_f = np.full(N + 1, NEG_INF, dtype=np.int64)
     t = np.empty(N, dtype=np.int64)
     for i in range(1, M + 1):
@@ -307,15 +314,19 @@ def best_cell_local_affine(
         cur_f = np.maximum(prev_h + open_, prev_f + extend)
         cur_f[0] = NEG_INF
         v = np.maximum(prev_h[:-1] + s, cur_f[1:])
-        np.maximum(v, 0, out=v)
-        t[0] = open_ - extend
+        h0 = 0
+        if clamp:
+            np.maximum(v, 0, out=v)
+        else:
+            h0 = open_ + (i - 1) * extend
+        t[0] = h0 + open_ - extend
         if N > 1:
             np.subtract(v[:-1] + (open_ - extend), ej[1:N], out=t[1:])
         np.maximum.accumulate(t, out=t)
         e = t + ej[1:]
         cur_h = np.empty(N + 1, dtype=np.int64)
         np.maximum(v, e, out=cur_h[1:])
-        cur_h[0] = 0
+        cur_h[0] = h0
         rm = int(np.argmax(cur_h))
         if cur_h[rm] > best:
             best, bi, bj = int(cur_h[rm]), i, rm

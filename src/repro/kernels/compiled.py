@@ -184,6 +184,8 @@ def best_cell_local(
     table: np.ndarray,
     gap: int,
     counter: Optional[OpCounter] = None,
+    *,
+    clamp: bool = True,
 ) -> Tuple[int, int, int]:
     M, N = len(a_codes), len(b_codes)
     if M == 0 or N == 0:
@@ -195,7 +197,8 @@ def best_cell_local(
     tbl = _i64(table)
     out = np.empty(3, dtype=np.int64)
     lib.flsa_lin_best_local(
-        _ptr16(a), M, _ptr16(b), N, _ptr64(tbl), tbl.shape[1], int(gap), _out64(out)
+        _ptr16(a), M, _ptr16(b), N, _ptr64(tbl), tbl.shape[1], int(gap),
+        int(bool(clamp)), _out64(out),
     )
     if out[0] < 0:
         raise MemoryError("flsa_lin_best_local: allocation failed")
@@ -390,6 +393,8 @@ def best_cell_local_affine(
     open_: int,
     extend: int,
     counter: Optional[OpCounter] = None,
+    *,
+    clamp: bool = True,
 ) -> Tuple[int, int, int]:
     M, N = len(a_codes), len(b_codes)
     if M == 0 or N == 0:
@@ -402,7 +407,7 @@ def best_cell_local_affine(
     out = np.empty(3, dtype=np.int64)
     lib.flsa_aff_best_local(
         _ptr16(a), M, _ptr16(b), N, _ptr64(tbl), tbl.shape[1],
-        int(open_), int(extend), _out64(out),
+        int(open_), int(extend), int(bool(clamp)), _out64(out),
     )
     if out[0] < 0:
         raise MemoryError("flsa_aff_best_local: allocation failed")

@@ -254,12 +254,19 @@ def best_cell_local(
     table: np.ndarray,
     gap: int,
     counter: Optional[OpCounter] = None,
+    *,
+    clamp: bool = True,
 ) -> Tuple[int, int, int]:
-    """Rolling clamped (Smith–Waterman) sweep; returns ``(score, i, j)``.
+    """Rolling sweep tracking the best cell; returns ``(score, i, j)``.
 
-    The best local score and its end cell, preferring the first row-major
-    maximum (ties broken by smallest ``i``, then smallest ``j``) — the
-    scoring tier behind :func:`repro.core.local.local_best_cell`.
+    With ``clamp`` (the default) this is the clamped Smith–Waterman sweep:
+    the best local score and its end cell — the scoring tier behind
+    :func:`repro.core.local.local_best_cell`.  ``clamp=False`` runs the
+    unclamped global (Needleman–Wunsch) recurrence from the origin, whose
+    maximum over all cells locates a local alignment's start when swept
+    over the reversed prefixes.  Either way ``best`` starts at ``0`` at
+    ``(0, 0)`` and the first row-major strict maximum wins (ties broken
+    by smallest ``i``, then smallest ``j``).
     """
     gap = int(gap)
     M, N = len(a_codes), len(b_codes)
@@ -269,17 +276,21 @@ def best_cell_local(
     if M == 0 or N == 0:
         return best, bi, bj
     gj = np.arange(N + 1, dtype=np.int64) * gap
-    prev = np.zeros(N + 1, dtype=np.int64)
+    prev = np.zeros(N + 1, dtype=np.int64) if clamp else gj.copy()
     t = np.empty(N + 1, dtype=np.int64)
     for i in range(1, M + 1):
         s = table[a_codes[i - 1]][b_codes]
         v = np.maximum(prev[:-1] + s, prev[1:] + gap)
-        np.maximum(v, 0, out=v)
-        t[0] = 0
+        h0 = 0
+        if clamp:
+            np.maximum(v, 0, out=v)
+        else:
+            h0 = i * gap
+        t[0] = h0
         np.subtract(v, gj[1:], out=t[1:])
         np.maximum.accumulate(t, out=t)
         cur = t + gj
-        cur[0] = 0
+        cur[0] = h0
         rm = int(np.argmax(cur))
         if cur[rm] > best:
             best, bi, bj = int(cur[rm]), i, rm

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -247,6 +248,13 @@ def _parity_cases() -> List[Tuple[str, Callable[[Any], bool]]]:
             ),
         ),
         (
+            "linear.best_cell_global",
+            lambda: eq(
+                _lin.best_cell_local(rng_a, rng_b, table, gap, clamp=False),
+                comp.best_cell_local(rng_a, rng_b, table, gap, clamp=False),
+            ),
+        ),
+        (
             "linear.band_fill",
             lambda: eq(
                 _banddp.band_fill(rng_a, rng_b, table, gap, 3),
@@ -293,6 +301,17 @@ def _parity_cases() -> List[Tuple[str, Callable[[Any], bool]]]:
             lambda: eq(
                 _aff.best_cell_local_affine(rng_a, rng_b, table, open_, extend),
                 comp.best_cell_local_affine(rng_a, rng_b, table, open_, extend),
+            ),
+        ),
+        (
+            "affine.best_cell_global",
+            lambda: eq(
+                _aff.best_cell_local_affine(
+                    rng_a, rng_b, table, open_, extend, clamp=False
+                ),
+                comp.best_cell_local_affine(
+                    rng_a, rng_b, table, open_, extend, clamp=False
+                ),
             ),
         ),
         (
@@ -373,6 +392,24 @@ def _parity_cases() -> List[Tuple[str, Callable[[Any], bool]]]:
     return cases
 
 
+_CDEF_DECL = re.compile(r"(\w+)\s+(\w+)\(([^)]*)\);")
+
+
+def _stale_entry_points(ffi, lib) -> List[str]:
+    """Entry points of the build ``CDEF`` that ``lib`` lacks or exports
+    with another signature (an extension built from older sources)."""
+    from ._ckernels_build import CDEF
+
+    stale = []
+    for result, name, args in _CDEF_DECL.findall(CDEF):
+        want = ffi.typeof(f"{result}(*)({args})")
+        fn = getattr(lib, name, None)
+        have = ffi.typeof(fn) if fn is not None else None
+        if have is None or (have.result, have.args) != (want.result, want.args):
+            stale.append(name)
+    return stale
+
+
 def _detect() -> None:
     """Probe the compiled extension and parity-gate it.  Never raises."""
     try:
@@ -381,14 +418,19 @@ def _detect() -> None:
         _PARITY["error"] = f"{type(exc).__name__}: {exc}"
         return
 
-    if not hasattr(comp.lib, "flsa_lin_batch_best_local"):
-        # A .so from before the batch kernels: treat the whole tier as
-        # unavailable (same gate semantics as a parity failure) rather
-        # than exposing a half-populated registry.
+    try:
+        stale = _stale_entry_points(comp.ffi, comp.lib)
+    except Exception as exc:  # an unreadable build counts as a stale one
+        stale = [f"{type(exc).__name__}: {exc}"]
+    if stale:
+        # A .so built from older C sources: a missing entry point or a
+        # changed argument list would crash or misread arguments, so the
+        # whole tier is unavailable (same gate semantics as a parity
+        # failure) rather than half-populated.
         _PARITY["parity_ok"] = False
         _PARITY["error"] = (
-            "extension predates the batch kernels; rebuild with "
-            "`python -m repro.kernels._ckernels_build`"
+            f"extension predates the current kernel signatures ({', '.join(stale)}); "
+            "rebuild with `python -m repro.kernels._ckernels_build`"
         )
         return
 

@@ -20,7 +20,11 @@ import pytest
 
 from repro.align.validate import check_alignment, score_alignment, score_gapped
 from repro.baselines import hirschberg, myers_miller, needleman_wunsch
+from repro.baselines import smith_waterman
 from repro.core import AlignConfig, fastlsa, overlap_align, semiglobal_align
+from repro.core.local import fastlsa_local
+from repro.core.modes import EndsFree, ends_free_align
+from repro.scoring import ScoringScheme, affine_gap, dna_simple, linear_gap
 from repro.workloads import dna_pair, protein_pair
 from repro.workloads.mutate import evolve
 
@@ -169,6 +173,140 @@ class TestEndsFreeDifferential:
         ref = semiglobal_align(read, genome, affine_dna_scheme, config=WIDE)
         deep = semiglobal_align(read, genome, affine_dna_scheme, config=DEEP)
         assert deep.score == ref.score
+
+
+NEG = float("-inf")
+
+
+def _gotoh_full(a, b, scheme, row0, col0):
+    """Pure-Python full-matrix Gotoh ``H`` (a linear gap is ``open ==
+    extend``) from the given row-0 / column-0 ``H`` boundaries; ``E`` on
+    column 0 and ``F`` on row 0 are impossible."""
+    enc_a, enc_b = scheme.encode(a), scheme.encode(b)
+    table = scheme.matrix.table
+    open_ = scheme.gap_open
+    ext = scheme.gap_open if scheme.is_linear else scheme.gap_extend
+    m, n = len(a), len(b)
+    H = [list(row0)] + [[col0[i]] + [NEG] * n for i in range(1, m + 1)]
+    F_prev = [NEG] * (n + 1)
+    for i in range(1, m + 1):
+        F_cur = [NEG] * (n + 1)
+        e = NEG
+        for j in range(1, n + 1):
+            e = max(H[i][j - 1] + open_, e + ext)
+            F_cur[j] = max(H[i - 1][j] + open_, F_prev[j] + ext)
+            diag = H[i - 1][j - 1] + int(table[enc_a[i - 1], enc_b[j - 1]])
+            H[i][j] = max(diag, e, F_cur[j])
+        F_prev = F_cur
+    return H
+
+
+def _leading_gaps(scheme, n):
+    ext = scheme.gap_open if scheme.is_linear else scheme.gap_extend
+    return [0] + [scheme.gap_open + (j - 1) * ext for j in range(1, n + 1)]
+
+
+def _ends_free_oracle(a, b, scheme, free):
+    """Best ends-free score and end cell from the full matrix, candidates
+    in the documented order: last column top-down, the corner, last row
+    left to right; strict ``>`` keeps the first of equal scores."""
+    m, n = len(a), len(b)
+    row0 = [0] * (n + 1) if free.b_start else _leading_gaps(scheme, n)
+    col0 = [0] * (m + 1) if free.a_start else _leading_gaps(scheme, m)
+    H = _gotoh_full(a, b, scheme, row0, col0)
+    cands = [(i, n) for i in range(m + 1)] if free.a_end else []
+    cands.append((m, n))
+    cands += [(m, j) for j in range(n + 1)] if free.b_end else []
+    best = None
+    for i, j in cands:
+        if best is None or H[i][j] > best[0]:
+            best = (H[i][j], i, j)
+    return best
+
+
+#: Low-contrast schemes over a two-letter alphabet: equal-scoring cells
+#: are common, so the tie-breaking order is exercised, not just the score.
+TIE_SCHEMES = {
+    "ties_linear": ScoringScheme(dna_simple(1, -1), linear_gap(-1)),
+    "ties_affine": ScoringScheme(dna_simple(1, -1), affine_gap(-2, -1)),
+}
+SCHEME_NAMES = ["dna_scheme", "affine_dna_scheme", *TIE_SCHEMES]
+
+
+def _scheme_and_alphabet(request, name):
+    if name in TIE_SCHEMES:
+        return TIE_SCHEMES[name], "AC"
+    return request.getfixturevalue(name), "ACGT"
+
+
+def _text(rng, n, alphabet):
+    return "".join(rng.choice(list(alphabet), n))
+
+
+ALL_FREE = [
+    EndsFree(a_start=bits[0], a_end=bits[1], b_start=bits[2], b_end=bits[3])
+    for bits in np.ndindex(2, 2, 2, 2)
+]
+
+
+class TestEndsFreeFullMatrix:
+    """Every free-flag combination against a pure-Python full-matrix DP,
+    on whichever kernel tier is active: score, end cell, a legal start
+    and a core that earns the score."""
+
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    @pytest.mark.parametrize("free", ALL_FREE, ids=lambda f: "".join(
+        "1" if x else "0" for x in (f.a_start, f.a_end, f.b_start, f.b_end)))
+    def test_all_flag_combinations(self, request, scheme_name, free):
+        scheme, alphabet = _scheme_and_alphabet(request, scheme_name)
+        local = np.random.default_rng([ALL_FREE.index(free), SCHEME_NAMES.index(scheme_name)])
+        for m, n in ((0, 7), (9, 0), (23, 31), (37, 18), (30, 30)):
+            a = _text(local, m, alphabet)
+            # b shares a stretch of a, so the best core is not trivial.
+            b = (_text(local, 3, alphabet) + a[m // 4:] + _text(local, n, alphabet))[:n]
+            for config in (None, DEEP):
+                ef = ends_free_align(a, b, scheme, free, config=config)
+                best, ei, ej = _ends_free_oracle(a, b, scheme, free)
+                assert (ef.score, ef.a_end, ef.b_end) == (best, ei, ej)
+                si, sj = ef.a_start, ef.b_start
+                assert si == 0 or (free.a_start and sj == 0)
+                assert sj == 0 or (free.b_start and si == 0)
+                core = ef.alignment
+                assert (core.seq_a.text, core.seq_b.text) == (a[si:ei], b[sj:ej])
+                assert score_alignment(core, scheme) == best
+                ok, msg = check_alignment(core, scheme)
+                assert ok, msg
+
+
+class TestLocalStartCell:
+    """``fastlsa_local`` against the full-matrix Smith–Waterman oracle: the
+    same score and end cell, and the start cell the reversed global sweep
+    defines — the first row-major maximum of the full global DP over the
+    reversed prefixes — bracketing a core that earns the score."""
+
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    @pytest.mark.parametrize("seed", [31, 32, 33, 34])
+    def test_start_cell_matches_oracle(self, request, scheme_name, seed):
+        scheme, alphabet = _scheme_and_alphabet(request, scheme_name)
+        local = np.random.default_rng(seed)
+        motif = _text(local, 30, alphabet)
+        a = _text(local, 15, alphabet) + motif + _text(local, 20, alphabet)
+        homolog = evolve(motif, sub_rate=0.1, indel_rate=0.05, rng=local,
+                         alphabet=alphabet).text
+        b = _text(local, 25, alphabet) + homolog + _text(local, 10, alphabet)
+        sw = smith_waterman(a, b, scheme)
+        for config in (None, DEEP):
+            loc = fastlsa_local(a, b, scheme, config=config)
+            assert (loc.score, loc.a_end, loc.b_end) == (sw.score, sw.a_end, sw.b_end)
+            bi, bj = loc.a_end, loc.b_end
+            G = _gotoh_full(a[:bi][::-1], b[:bj][::-1], scheme,
+                            _leading_gaps(scheme, bj), _leading_gaps(scheme, bi))
+            flat = [(G[i][j], -i, -j) for i in range(bi + 1) for j in range(bj + 1)]
+            top = max(v for v, _, _ in flat)
+            _, ri, rj = max(t for t in flat if t[0] == top)
+            assert top == sw.score
+            assert (loc.a_start, loc.b_start) == (bi + ri, bj + rj)
+            assert score_alignment(loc.alignment, scheme) == sw.score
 
 
 @pytest.mark.slow

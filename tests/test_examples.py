@@ -2,25 +2,35 @@
 
 Each example self-asserts its claims internally (scores, budgets,
 placements), so a clean exit is a meaningful check.  The heavyweight
-genome example runs in its FAST mode.
+genome example runs in its FAST mode.  Every example runs in a fresh
+temporary directory, so the ``results/`` files examples write never
+touch the checkout.
 """
 
 import os
 import subprocess
 import sys
+import tempfile
 
-EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXAMPLES_DIR = os.path.join(ROOT, "examples")
+
 
 def run_example(name, env_extra=None, timeout=240):
     env = dict(os.environ)
+    # Absolute import path: the example's working directory is elsewhere.
+    inherited = [os.path.abspath(p) for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"), *inherited])
     env.update(env_extra or {})
-    proc = subprocess.run(
-        [sys.executable, os.path.join(EXAMPLES_DIR, name)],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        env=env,
-    )
+    with tempfile.TemporaryDirectory() as workdir:
+        proc = subprocess.run(
+            [sys.executable, os.path.join(EXAMPLES_DIR, name)],
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+            env=env,
+            cwd=workdir,
+        )
     assert proc.returncode == 0, f"{name} failed:\n{proc.stdout}\n{proc.stderr}"
     return proc.stdout
 

@@ -42,6 +42,11 @@ class TestParse:
         with pytest.raises(FastaError):
             list(parse_fasta(io.StringIO(">x\nAC GT\n")))
 
+    @pytest.mark.parametrize("ws", ["\u00a0", "\u2028", "\x1c", "\u3000", "\t"])
+    def test_unicode_whitespace_rejected(self, ws):
+        with pytest.raises(FastaError, match="whitespace"):
+            list(parse_fasta(io.StringIO(f">x\nAC{ws}GT\n")))
+
 
 class TestFormat:
     def test_wrapping(self):

@@ -8,6 +8,8 @@ parity gate.  Numpy-tier behaviour must be identical whether or not the
 compiled extension is built — these tests run in both CI jobs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,8 +113,11 @@ class TestParityReport:
     def test_all_checks_passed(self):
         rep = registry.parity_report()
         assert rep["parity_ok"] is True
-        # 10 per-pair checks + 6 batch-kernel checks (PR 10).
-        assert len(rep["checks"]) == 16
+        # 12 per-pair checks (the best-cell sweep both clamped and
+        # unclamped) + 6 batch-kernel checks.
+        assert len(rep["checks"]) == 18
+        names = {c["name"] for c in rep["checks"]}
+        assert {"linear.best_cell_global", "affine.best_cell_global"} <= names
         assert all(c["ok"] for c in rep["checks"])
 
     @needs_compiled
@@ -120,6 +125,60 @@ class TestParityReport:
         # the invariant the gate enforces: visible => all checks passed
         assert registry.parity_report()["parity_ok"]
         assert "compiled" in registry.available_tiers()
+
+
+class TestStaleBuildGuard:
+    """An extension built from older C sources must disable the tier with
+    the rebuild hint, not fail parity (or crash) on a changed signature."""
+
+    OLD_BEST_LOCAL = (
+        "void(*)(const int16_t *, long, const int16_t *, long,"
+        " const int64_t *, long, int64_t, int64_t *)"
+    )
+
+    def _fake_module(self, stale=()):
+        import types
+
+        cffi = pytest.importorskip("cffi")
+        from repro.kernels._ckernels_build import CDEF
+
+        ffi = cffi.FFI()
+        lib = types.SimpleNamespace()
+        for result, name, args in registry._CDEF_DECL.findall(CDEF):
+            sig = self.OLD_BEST_LOCAL if name in stale else f"{result}(*)({args})"
+            setattr(lib, name, ffi.cast(sig, 0))
+        return types.SimpleNamespace(ffi=ffi, lib=lib)
+
+    def test_current_signatures_pass(self):
+        mod = self._fake_module()
+        assert registry._stale_entry_points(mod.ffi, mod.lib) == []
+
+    def test_old_signature_and_missing_entry_point_detected(self):
+        mod = self._fake_module(stale=("flsa_lin_best_local",))
+        del mod.lib.flsa_aff_batch_score_global
+        assert registry._stale_entry_points(mod.ffi, mod.lib) == [
+            "flsa_lin_best_local", "flsa_aff_batch_score_global",
+        ]
+
+    def test_detect_disables_tier_with_rebuild_hint(self, monkeypatch):
+        import sys
+
+        import repro.kernels
+
+        mod = self._fake_module(stale=("flsa_lin_best_local",))
+        monkeypatch.setitem(sys.modules, "repro.kernels.compiled", mod)
+        monkeypatch.setattr(repro.kernels, "compiled", mod, raising=False)
+        monkeypatch.setattr(registry, "_PARITY", {
+            "compiled_available": False, "parity_ok": None, "checks": [], "error": None,
+        })
+        monkeypatch.setattr(registry, "_PROVIDERS", {"numpy": registry._PROVIDERS["numpy"]})
+        registry._detect()
+        rep = registry.parity_report()
+        assert rep["parity_ok"] is False and not rep["compiled_available"]
+        assert "flsa_lin_best_local" in rep["error"]
+        assert "python -m repro.kernels._ckernels_build" in rep["error"]
+        assert rep["checks"] == []  # never reached parity with a stale build
+        assert registry.available_tiers() == ("numpy",)
 
 
 @needs_compiled
@@ -168,8 +227,10 @@ class TestCompiledParity:
                 scheme.gap_open, scheme.gap_extend)
             for _ in range(25):
                 a, b = self._random_case(rng, scheme)
-                assert np_prov.best_cell_local(a, b, table, *args, None) == \
-                    c_prov.best_cell_local(a, b, table, *args, None)
+                for clamp in (True, False):
+                    assert np_prov.best_cell_local(
+                        a, b, table, *args, None, clamp=clamp
+                    ) == c_prov.best_cell_local(a, b, table, *args, None, clamp=clamp)
 
     def test_band_fill_both_kinds(self, rng, lin_scheme, aff_scheme):
         np_lin = registry.get_kernel("linear", "numpy")
@@ -262,3 +323,66 @@ class TestPreferredTier:
         with pytest.raises(ConfigError):
             registry.set_preferred_tier("compiled")
         assert registry.preferred_tier() is None
+
+
+class TestBracketSweepsHonourKernel:
+    """The bracketing sweeps of the local and ends-free modes run on the
+    tier ``AlignConfig.kernel`` names, not on the ambient one."""
+
+    @pytest.fixture
+    def compiled_calls(self, monkeypatch):
+        """Install a spying "compiled" tier (the real one when built, else
+        the numpy kernels under that name); returns its call log."""
+        calls = []
+        base = registry._PROVIDERS.get("compiled") or registry._PROVIDERS["numpy"]
+
+        def spy(kind, method):
+            fn = getattr(base[kind], method)
+
+            def wrapped(*args, **kwargs):
+                calls.append((kind, method))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        spied = {
+            kind: dataclasses.replace(
+                base[kind], name="compiled", compiled=True,
+                sweep_last_row_col=spy(kind, "sweep_last_row_col"),
+                best_cell_local=spy(kind, "best_cell_local"),
+            )
+            for kind in registry.SCHEME_KINDS
+        }
+        monkeypatch.setitem(registry._PROVIDERS, "compiled", spied)
+        monkeypatch.setitem(registry._PARITY, "compiled_available", True)
+        return calls
+
+    def _run_all(self, config, lin_scheme, aff_scheme):
+        from repro.core import batch_align, ends_free_align, fastlsa_local
+        from repro.core.modes import EndsFree
+
+        rng = np.random.default_rng(5)
+        a = "".join(rng.choice(list("ACGT"), 40))
+        b = "".join(rng.choice(list("ACGT"), 55))
+        for scheme in (lin_scheme, aff_scheme):
+            ends_free_align(a, b, scheme, EndsFree(a_start=True, b_end=True), config=config)
+            fastlsa_local(a, b, scheme, config=config)
+            batch_align(a, [b, b[5:]], scheme, mode="semiglobal", keep=1, config=config)
+
+    def test_numpy_config_never_enters_compiled(
+        self, compiled_calls, lin_scheme, aff_scheme
+    ):
+        from repro import AlignConfig
+
+        with registry.use("compiled"):
+            self._run_all(AlignConfig(kernel="numpy"), lin_scheme, aff_scheme)
+        assert compiled_calls == []
+
+    def test_compiled_config_enters_compiled(
+        self, compiled_calls, lin_scheme, aff_scheme
+    ):
+        from repro import AlignConfig
+
+        with registry.use("numpy"):
+            self._run_all(AlignConfig(kernel="compiled"), lin_scheme, aff_scheme)
+        assert {(k, "sweep_last_row_col") for k in registry.SCHEME_KINDS} <= set(compiled_calls)
+        assert {(k, "best_cell_local") for k in registry.SCHEME_KINDS} <= set(compiled_calls)

@@ -274,6 +274,41 @@ class TestEnabledShape:
         assert inst.metrics.histogram("fastlsa.wall_time").count == 2
 
 
+class TestBracketSpans:
+    """The bracketing sweeps of the local and ends-free modes are spanned,
+    so a trace attributes them instead of leaving them untraced."""
+
+    def test_local_and_ends_free_sweeps(self, rng, dna_scheme):
+        from repro.core import fastlsa_local, semiglobal_align
+
+        a = random_dna(rng, 80)
+        b = random_dna(rng, 90)
+        with obs.instrumented() as inst:
+            loc = fastlsa_local(a, b, dna_scheme)
+            ef = semiglobal_align(a[20:60], b, dna_scheme)
+        spans = inst.tracer.find("fastlsa.bracket")
+        assert [
+            (s.attrs["mode"], s.attrs["phase"], s.attrs["cells"]) for s in spans
+        ] == [
+            ("local", "end", 80 * 90),
+            ("local", "start", loc.a_end * loc.b_end),
+            ("ends_free", "end", 40 * 90),
+            ("ends_free", "start", ef.a_end * ef.b_end),
+        ]
+        assert all(s.category == "bracket" and s.parent_id is None for s in spans)
+
+    def test_best_cell_hint_skips_the_end_sweep(self, rng, dna_scheme):
+        from repro.core.local import fastlsa_local, local_best_cell
+
+        a = random_dna(rng, 60)
+        b = random_dna(rng, 70)
+        cell = local_best_cell(a, b, dna_scheme)
+        with obs.instrumented() as inst:
+            fastlsa_local(a, b, dna_scheme, best_cell=cell)
+        phases = [s.attrs["phase"] for s in inst.tracer.find("fastlsa.bracket")]
+        assert phases == ["start"]
+
+
 # ----------------------------------------------------------------------
 # parallel: tile spans carry Figure-13 phases
 # ----------------------------------------------------------------------

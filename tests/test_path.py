@@ -1,9 +1,10 @@
 """Tests for repro.align.path."""
 
+import numpy as np
 import pytest
 
-from repro.align import AlignmentPath, Layer, Move, PathBuilder, moves_of
-from repro.errors import PathError
+from repro.align import AlignmentPath, Layer, Move, PathBuilder, alignment_from_path, moves_of
+from repro.errors import AlignmentError, PathError
 
 
 class TestPathBuilder:
@@ -85,8 +86,6 @@ class TestAlignmentPath:
         assert len(p) == 3
 
     def test_points_coerced_to_int(self):
-        import numpy as np
-
         p = AlignmentPath([(np.int64(0), np.int64(0)), (np.int64(1), np.int64(0))])
         assert isinstance(p.points[0][0], int)
 
@@ -99,3 +98,49 @@ class TestMovesOf:
     def test_illegal(self):
         with pytest.raises(PathError):
             moves_of([(0, 0), (0, 2)])
+
+    @pytest.mark.parametrize("bad", [(0, 0), (2, 1), (-1, 0), (1, -1), (0, 2)])
+    def test_every_illegal_step_names_the_first_one(self, bad):
+        pts = [(0, 0), (1, 1), (1 + bad[0], 1 + bad[1]), (5, 5)]
+        with pytest.raises(PathError, match=rf"illegal step \({bad[0]}, {bad[1]}\) between "
+                           rf"\(1, 1\) and \({1 + bad[0]}, {1 + bad[1]}\)"):
+            moves_of(pts)
+        with pytest.raises(PathError, match=r"illegal path step from \(1, 1\)"):
+            AlignmentPath(pts)
+
+    def test_degenerate_inputs(self):
+        assert moves_of([]) == []
+        assert moves_of([(3, 4)]) == []
+        assert moves_of(np.array([[0, 0], [1, 1], [1, 2]])) == [Move.DIAG, Move.RIGHT]
+        with pytest.raises(PathError):
+            moves_of([(0, 0, 0), (1, 1, 1)])
+
+    def test_path_moves_and_array_agree(self):
+        pts = [(0, 0), (1, 0), (1, 1), (2, 2), (2, 3)]
+        p = AlignmentPath(pts)
+        assert p.moves() == moves_of(pts) == [
+            Move.DOWN, Move.RIGHT, Move.DIAG, Move.RIGHT,
+        ]
+        assert p.array.tolist() == [list(q) for q in pts]
+        assert not p.array.flags.writeable
+
+
+class TestAlignmentFromPath:
+    def test_gapped_strings(self):
+        p = AlignmentPath([(0, 0), (1, 0), (1, 1), (2, 2), (2, 3)])
+        al = alignment_from_path("AC", "GTA", p, 0)
+        assert (al.gapped_a, al.gapped_b) == ("A-C-", "-GTA")
+
+    def test_non_ascii_alphabet(self):
+        p = AlignmentPath([(0, 0), (1, 1), (1, 2), (2, 3)])
+        al = alignment_from_path("\u00e9\u03b1", "\u00e9x\u03b2", p, 0)
+        assert (al.gapped_a, al.gapped_b) == ("\u00e9-\u03b1", "\u00e9x\u03b2")
+
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1, 1)],              # stops short of (2, 2)
+        [(1, 1), (2, 2)],              # does not start at the origin
+        [(0, 0), (1, 1), (2, 2), (2, 3)],  # runs past the last column
+    ])
+    def test_incomplete_path_rejected(self, pts):
+        with pytest.raises(AlignmentError, match="path spans"):
+            alignment_from_path("AC", "AC", AlignmentPath(pts), 0)

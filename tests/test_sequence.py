@@ -22,6 +22,17 @@ class TestSequence:
         with pytest.raises(SequenceError):
             Sequence("AC GT", name="x")
 
+    @pytest.mark.parametrize(
+        "text", ["AC\u00a0GT", "AC\u2028GT", "AC\x1cGT", "\u3000ACGT", "ACGT\t", " ", "\n\n"]
+    )
+    def test_every_str_isspace_character_rejected(self, text):
+        assert any(ch.isspace() for ch in text)
+        with pytest.raises(SequenceError, match="whitespace"):
+            Sequence(text, name="x")
+
+    def test_non_whitespace_unicode_allowed(self):
+        assert Sequence("AC\u200bGT\u00e9", name="x").text == "AC\u200bGT\u00e9"
+
     def test_empty_name_rejected(self):
         with pytest.raises(SequenceError):
             Sequence("ACGT", name="")
