@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """PR5 backend benchmark: length × workers × backend, plus kernel fast path.
 
-Sweeps the three wavefront backends (``serial`` / ``threads`` /
-``processes``) over a grid of sequence lengths and worker counts,
+Sweeps the two wavefront backends (``serial`` / ``threads``) over a grid
+of sequence lengths and worker counts,
 median-of-``--repeats`` wall times on fixed-seed workloads, and verifies
 **parity** as it goes: every backend run must reproduce the serial
 backend's score *and* traceback path bit-for-bit — any mismatch makes
@@ -146,38 +146,37 @@ def bench_backends(lengths, workers_list, repeats, k, base_cells):
             "score": ref.score, "parity": True,
         })
         print(f"  {length:>6} serial       w=1  {serial_s:8.3f}s", flush=True)
-        for backend in ("threads", "processes"):
-            for workers in workers_list:
-                cfg = AlignConfig(
-                    k=k, base_cells=base_cells,
-                    max_workers=workers, backend=backend,
+        for workers in workers_list:
+            cfg = AlignConfig(
+                k=k, base_cells=base_cells,
+                max_workers=workers, backend="threads",
+            )
+            got = fastlsa(a, b, scheme, config=cfg)
+            parity = (
+                got.score == ref.score
+                and got.path.points == ref.path.points
+            )
+            if not parity:
+                failures.append(
+                    f"threads w={workers} length={length}: "
+                    f"score {got.score} vs {ref.score}"
                 )
-                got = fastlsa(a, b, scheme, config=cfg)
-                parity = (
-                    got.score == ref.score
-                    and got.path.points == ref.path.points
-                )
-                if not parity:
-                    failures.append(
-                        f"{backend} w={workers} length={length}: "
-                        f"score {got.score} vs {ref.score}"
-                    )
-                med_s, runs = _median_time(
-                    lambda: fastlsa(a, b, scheme, config=cfg), repeats
-                )
-                rows.append({
-                    "length": length, "backend": backend, "workers": workers,
-                    "median_s": round(med_s, 6),
-                    "runs_s": [round(t, 6) for t in runs],
-                    "cells_per_s": int(length * length / med_s) if med_s else None,
-                    "speedup_vs_serial": round(serial_s / med_s, 3) if med_s else None,
-                    "score": got.score, "parity": parity,
-                })
-                print(
-                    f"  {length:>6} {backend:<12} w={workers}  {med_s:8.3f}s  "
-                    f"{serial_s / med_s:5.2f}x  parity={'ok' if parity else 'FAIL'}",
-                    flush=True,
-                )
+            med_s, runs = _median_time(
+                lambda: fastlsa(a, b, scheme, config=cfg), repeats
+            )
+            rows.append({
+                "length": length, "backend": "threads", "workers": workers,
+                "median_s": round(med_s, 6),
+                "runs_s": [round(t, 6) for t in runs],
+                "cells_per_s": int(length * length / med_s) if med_s else None,
+                "speedup_vs_serial": round(serial_s / med_s, 3) if med_s else None,
+                "score": got.score, "parity": parity,
+            })
+            print(
+                f"  {length:>6} threads      w={workers}  {med_s:8.3f}s  "
+                f"{serial_s / med_s:5.2f}x  parity={'ok' if parity else 'FAIL'}",
+                flush=True,
+            )
     return rows, failures
 
 

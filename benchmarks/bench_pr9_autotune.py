@@ -176,7 +176,7 @@ def synthetic_decisions(failures):
     rows = []
     for kind, size, expect in (
         ("slow-1cpu", 100_000, ("serial",)),
-        ("fast-8cpu", 100_000, ("threads", "processes")),
+        ("fast-8cpu", 100_000, ("threads",)),
         ("fast-8cpu", 96, ("serial",)),
     ):
         profile = synthetic_profile(kind)

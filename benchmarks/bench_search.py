@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     repeats = args.repeats or (1 if args.smoke else 3)
-    backends = ["serial"] if args.smoke else ["serial", "threads", "processes"]
+    backends = ["serial"] if args.smoke else ["serial", "threads"]
     rng = np.random.default_rng(SEED)
     scheme = ScoringScheme(dna_simple(), linear_gap(-6))
 

@@ -41,7 +41,6 @@ from .errors import (
     SequenceError,
     ServiceClosedError,
     ServiceError,
-    WorkerCrashError,
 )
 from .scoring import (
     AffineGap,
@@ -177,7 +176,6 @@ __all__ = [
     "PathError",
     "FastaError",
     "SchedulerError",
-    "WorkerCrashError",
     "ServiceError",
     "BackpressureError",
     "QueueFullError",

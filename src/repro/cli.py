@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--k", type=int, default=8, help="FastLSA k parameter")
     p_align.add_argument("--base-cells", type=int, default=256 * 1024)
     p_align.add_argument("--backend", default=None,
-                         choices=["serial", "threads", "processes"],
+                         choices=["serial", "threads"],
                          help="wavefront backend for the FillCache phase "
                               "(default: serial)")
     p_align.add_argument("--band", default=None, metavar="W",
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "calibration profile), 'off', or a profile "
                               "path (default: off)")
     p_align.add_argument("--workers", type=int, default=None, metavar="P",
-                         help="wavefront workers for --backend threads/processes "
+                         help="wavefront workers for --backend threads "
                               "(default 2)")
     p_align.add_argument("--width", type=int, default=60)
     p_align.add_argument("--score-only", action="store_true",
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--tcp", default=None, metavar="HOST:PORT",
                          help="listen on TCP instead of stdin/stdout")
     p_serve.add_argument("--backend", default=None,
-                         choices=["serial", "threads", "processes"],
+                         choices=["serial", "threads"],
                          help="wavefront backend pinned onto jobs without one")
     p_serve.add_argument("--tune", default="auto", metavar="MODE",
                          help="hardware autotuning for unpinned jobs: "
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--gap-open", type=int, default=-6)
     p_search.add_argument("--gap-extend", type=int, default=None)
     p_search.add_argument("--backend", default=None,
-                          choices=["serial", "threads", "processes"],
+                          choices=["serial", "threads"],
                           help="candidate-scoring backend (default: serial)")
     p_search.add_argument("--workers", type=int, default=None, metavar="P")
     p_search.add_argument("--tune", default=None, metavar="MODE",
@@ -361,7 +361,7 @@ def _cmd_align(args) -> int:
 
     say = _info_printer(args)
     workers = args.workers if args.workers is not None else (
-        2 if args.backend in ("threads", "processes") else None
+        2 if args.backend == "threads" else None
     )
     band = args.band
     if band is not None and band != "auto":
@@ -646,7 +646,7 @@ def _cmd_search(args) -> int:
     index = CorpusIndex.load(args.index)
     query = read_fasta(args.query)[0]
     workers = args.workers if args.workers is not None else (
-        2 if args.backend in ("threads", "processes") else None
+        2 if args.backend == "threads" else None
     )
     config = AlignConfig(max_workers=workers, backend=args.backend,
                          tune=args.tune)

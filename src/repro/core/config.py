@@ -90,10 +90,11 @@ class AlignConfig(FastLSAConfig):
         Also the worker count for the wavefront backends below.
     backend:
         Execution backend for the FillCache wavefront: ``"serial"``
-        (in-process band sweeps, the default), ``"threads"``
-        (ThreadPoolExecutor tile wavefront) or ``"processes"``
-        (persistent worker pool + shared-memory tile arena — see
-        :mod:`repro.parallel.procpool`).  ``None`` means ``"serial"``.
+        (in-process band sweeps, the default) or ``"threads"``
+        (ThreadPoolExecutor tile wavefront — see
+        :mod:`repro.parallel.backends`).  ``None`` means ``"serial"``.
+        The former ``"processes"`` backend was removed; asking for it
+        raises :class:`~repro.errors.ConfigError` naming ``"threads"``.
     band:
         Exact banded fast path (:mod:`repro.core.banded`).  ``None``
         (default) disables banding; an integer is an initial band
@@ -133,7 +134,7 @@ class AlignConfig(FastLSAConfig):
     tune: Optional[str] = None
 
     #: Accepted ``backend`` values (``None`` resolves to ``"serial"``).
-    BACKENDS = ("serial", "threads", "processes")
+    BACKENDS = ("serial", "threads")
 
     #: Accepted ``kernel`` values (``None`` resolves to ``"auto"``).
     KERNELS = ("auto", "numpy", "compiled")
@@ -146,10 +147,8 @@ class AlignConfig(FastLSAConfig):
             raise ConfigError(
                 f"max_workers must be None or an integer >= 1, got {self.max_workers!r}"
             )
-        if self.backend is not None and self.backend not in self.BACKENDS:
-            raise ConfigError(
-                f"backend must be one of {list(self.BACKENDS)}, got {self.backend!r}"
-            )
+        if self.backend is not None:
+            check_backend(self.backend)
         if self.band is not None:
             if isinstance(self.band, bool) or not (
                 self.band == "auto"
@@ -221,6 +220,22 @@ class AlignConfig(FastLSAConfig):
             "kernel": self.kernel,
             "tune": self.tune,
         }
+
+
+def check_backend(backend, what: str = "backend") -> None:
+    """Raise :class:`ConfigError` unless ``backend`` is in
+    :attr:`AlignConfig.BACKENDS`; a removed backend's message names its
+    replacement."""
+    if backend in AlignConfig.BACKENDS:
+        return
+    hint = (
+        "; the processes backend was removed, use 'threads'"
+        if backend == "processes" else ""
+    )
+    raise ConfigError(
+        f"{what} must be one of {list(AlignConfig.BACKENDS)}, "
+        f"got {backend!r}{hint}"
+    )
 
 
 def resolve_config(

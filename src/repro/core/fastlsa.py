@@ -308,26 +308,21 @@ def fastlsa(
             alignment.stats.wall_time = time.perf_counter() - t0
             return alignment
 
-    backend_finish = None
-    if hooks is None and getattr(cfg, "backend", None) in ("threads", "processes"):
+    if hooks is None and getattr(cfg, "backend", None) == "threads":
         # Lazy import: core stays importable without the parallel package
         # loaded; explicit hooks (the parallel drivers) always win.
         from ..parallel.backends import backend_hooks
 
-        hooks, backend_finish = backend_hooks(cfg, scheme, a_codes, b_codes, m, n)
+        hooks = backend_hooks(cfg, scheme, m, n)
 
-    try:
-        with obs.span(
-            "fastlsa.align", category="align", m=m, n=n, k=cfg.k,
-            base_cells=cfg.base_cells, kernel=tier,
-        ) as sp:
-            with registry.use(tier):
-                result = fastlsa_path(m, n, a_codes, b_codes, scheme, cfg, inst, hooks)
-            if sp is not None:
-                sp.set(score=result.score, subproblems=result.subproblems)
-    finally:
-        if backend_finish is not None:
-            backend_finish()
+    with obs.span(
+        "fastlsa.align", category="align", m=m, n=n, k=cfg.k,
+        base_cells=cfg.base_cells, kernel=tier,
+    ) as sp:
+        with registry.use(tier):
+            result = fastlsa_path(m, n, a_codes, b_codes, scheme, cfg, inst, hooks)
+        if sp is not None:
+            sp.set(score=result.score, subproblems=result.subproblems)
     builder = result.builder
     i, j = builder.head
     while i > 0:

@@ -39,6 +39,7 @@ def compute_block(
     counter: Optional[OpCounter] = None,
     *,
     profile: Optional[np.ndarray] = None,
+    provider=None,
 ) -> Tuple[RowCache, ColCache]:
     """Linear-space sweep of one block: boundary caches in, edge caches out.
 
@@ -47,17 +48,22 @@ def compute_block(
     caches.  ``profile`` optionally carries the block's slice of a
     precomputed :func:`~repro.kernels.linear.score_profile` so tiled
     callers gather the substitution rows once per region, not per tile.
+    ``provider`` pins the kernel provider; by default it is the ambient
+    :func:`~repro.kernels.registry.active` one, which pool threads do not
+    inherit, so threaded callers resolve it on the submitting thread.
     Returns the block's bottom :class:`RowCache` and right
     :class:`ColCache`.
     """
     table = scheme.matrix.table
+    if provider is None:
+        provider = registry.active("linear" if scheme.is_linear else "affine")
     if scheme.is_linear:
-        last_row, last_col = registry.active("linear").sweep_last_row_col(
+        last_row, last_col = provider.sweep_last_row_col(
             a_codes, b_codes, table, scheme.gap_open, top.h, left.h, counter,
             profile=profile,
         )
         return RowCache(h=last_row), ColCache(h=last_col)
-    lr_h, lr_f, lc_h, lc_e = registry.active("affine").sweep_last_row_col(
+    lr_h, lr_f, lc_h, lc_e = provider.sweep_last_row_col(
         a_codes,
         b_codes,
         table,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigError
-from .config import MIN_BASE_CELLS, FastLSAConfig
+from .config import MIN_BASE_CELLS, AlignConfig, FastLSAConfig, check_backend
 
 __all__ = [
     "Plan",
@@ -36,7 +36,6 @@ __all__ = [
     "ops_ratio_bound",
     "grid_cells_bound",
     "fastlsa_peak_cells",
-    "arena_cells",
     "resolve_backend",
     "worker_cap",
     "BACKENDS",
@@ -121,9 +120,8 @@ def fastlsa_peak_cells(m: int, n: int, k: int, base_cells: int, affine: bool) ->
     return grid_cells_bound(m, n, k, affine) + base_cells + sweep_rows
 
 
-#: Backends the planner / governor understand (mirrors
-#: :attr:`repro.core.config.AlignConfig.BACKENDS`).
-BACKENDS = ("serial", "threads", "processes")
+#: Backends the planner / governor understand.
+BACKENDS = AlignConfig.BACKENDS
 
 
 def worker_cap() -> int:
@@ -149,7 +147,7 @@ def resolve_backend(
     ``backend`` falls back to ``"serial"`` when unset; ``workers`` comes
     from the explicit argument, then ``config.max_workers``, then 1.  A
     parallel backend with one worker degrades to ``"serial"`` — a single
-    thread or process only adds dispatch overhead.
+    thread only adds dispatch overhead.
 
     Parallel worker counts above :func:`worker_cap` are clamped instead
     of oversubscribing the machine; when ``notes`` is passed the clamp is
@@ -158,8 +156,7 @@ def resolve_backend(
     result, not silent).
     """
     backend = getattr(config, "backend", None) or "serial"
-    if backend not in BACKENDS:
-        raise ConfigError(f"backend must be one of {list(BACKENDS)}, got {backend!r}")
+    check_backend(backend)
     if workers is None:
         workers = getattr(config, "max_workers", None) or 1
     workers = max(1, int(workers))
@@ -172,44 +169,6 @@ def resolve_backend(
     if workers <= 1 and backend != "serial":
         backend = "serial"
     return backend, workers
-
-
-def arena_cells(
-    m: int,
-    n: int,
-    k: int,
-    workers: int,
-    affine: bool = False,
-    u: "int | None" = None,
-    v: "int | None" = None,
-) -> int:
-    """Shared-memory tile-arena size (in DP cells) for the process backend.
-
-    The arena holds every tile boundary of the top-level FillCache region:
-    with tiles of ``k·u × k·v`` (``u = v`` chosen so the wavefront keeps
-    ``P`` workers busy — see :func:`repro.parallel.tiles.default_uv`),
-    that is ``(k·u + 1)`` boundary rows of ``n + 1`` cells and
-    ``(k·v + 1)`` boundary columns of ``m + 1`` cells, doubled for affine
-    (H+F rows, H+E columns), plus the encoded sequences and the published
-    score profile.  The governor adds this on top of
-    :func:`fastlsa_peak_cells` when admitting a processes-backend job.
-    """
-    if u is None or v is None:
-        # default_uv(P, k): smallest t with (k·t)² ≥ 4P² (inlined to keep
-        # the planner importable without the parallel package).
-        t = 1
-        while (k * t) * (k * t) < 4 * workers * workers:
-            t += 1
-        u = u if u is not None else t
-        v = v if v is not None else t
-    line_layers = 2 if affine else 1
-    rows = (k * u + 1) * (n + 1) * line_layers
-    cols = (k * v + 1) * (m + 1) * line_layers
-    # Encoded sequences are uint8 (1/8 cell each) and the profile is one
-    # int64 row per alphabet symbol; round both up to cells.
-    seqs = (m + n) // CELL_BYTES + 1
-    profile = 32 * (n + 1)
-    return rows + cols + seqs + profile
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ __all__ = [
     "PathError",
     "FastaError",
     "SchedulerError",
-    "WorkerCrashError",
     "ServiceError",
     "BackpressureError",
     "QueueFullError",
@@ -85,22 +84,6 @@ class SchedulerError(ReproError, RuntimeError):
     dependency graph, a simulated machine asked to run zero tasks forever)
     rather than a user error.
     """
-
-
-class WorkerCrashError(SchedulerError):
-    """A wavefront worker process died mid-computation.
-
-    Raised by the process-pool backend when a worker exits without
-    reporting a result (killed, OOM, segfault).  ``transient`` is true —
-    the pool respawns its workers on the next use, so a retry of the whole
-    job is expected to succeed; the service retry policy picks this up via
-    :func:`repro.service.resilience.is_transient`.
-    """
-
-    def __init__(self, message: str, worker: "int | None" = None) -> None:
-        super().__init__(message)
-        self.worker = worker
-        self.transient = True
 
 
 class ServiceError(ReproError, RuntimeError):

@@ -58,11 +58,10 @@ def disable() -> None:
 def reset_scope() -> None:
     """Drop any :func:`chaos` scope inherited into this context.
 
-    Forked worker processes copy the parent's context variables; a worker
+    Forked shard processes copy the parent's context variables; a shard
     started inside a ``chaos()`` block would keep perturbing from the
-    parent's (copy-on-write) plan even after a session binds a different
-    one.  Workers call this once at startup so only the plan shipped in
-    their :class:`~repro.parallel.procpool.SessionSpec` applies.
+    parent's (copy-on-write) plan.  Shards call this once at startup so
+    only the plan the router ships them applies.
     """
     _scoped.set(None)
 

@@ -43,10 +43,6 @@ class Counter:
         with self._lock:
             self._value += int(n)
 
-    def merge(self, snap) -> None:
-        """Fold another counter's snapshot (its total) into this one."""
-        self.inc(int(snap))
-
     @property
     def value(self) -> int:
         """The current total."""
@@ -96,15 +92,6 @@ class Gauge:
         with self._lock:
             return {"value": self._value, "max": self._max}
 
-    def merge(self, snap: Dict[str, float]) -> None:
-        """Fold another gauge's snapshot in: keep the wider high-water mark.
-
-        The current value stays ours (a remote instantaneous value has no
-        meaning after the fact); only ``max`` merges.
-        """
-        with self._lock:
-            self._max = max(self._max, float(snap.get("max", 0.0)))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Gauge({self.name}={self.value})"
 
@@ -149,20 +136,6 @@ class Histogram:
                 "max": self._max if self._max is not None else 0.0,
                 "mean": round(mean, 9),
             }
-
-    def merge(self, snap: Dict[str, float]) -> None:
-        """Fold another histogram's snapshot (count/sum/min/max) in."""
-        count = int(snap.get("count", 0))
-        if count <= 0:
-            return
-        with self._lock:
-            self.count += count
-            self.total += float(snap.get("sum", 0.0))
-            lo, hi = snap.get("min"), snap.get("max")
-            if lo is not None and (self._min is None or lo < self._min):
-                self._min = lo
-            if hi is not None and (self._max is None or hi > self._max):
-                self._max = hi
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Histogram({self.name}, n={self.count})"
@@ -211,23 +184,6 @@ class MetricsRegistry:
         with self._lock:
             metrics = dict(self._metrics)
         return {name: metrics[name].snapshot() for name in sorted(metrics)}
-
-    def merge(self, snapshot: Dict[str, object]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Instrument kinds are inferred from snapshot shape: a bare int is
-        a counter; a dict with ``count`` a histogram; a dict with
-        ``value``/``max`` a gauge.  The cross-process metrics merge path
-        (worker registries → parent) at wavefront session end.
-        """
-        for name, snap in snapshot.items():
-            if isinstance(snap, dict):
-                if "count" in snap:
-                    self.histogram(name).merge(snap)
-                else:
-                    self.gauge(name).merge(snap)
-            else:
-                self.counter(name).merge(snap)
 
     def reset(self) -> None:
         """Drop every instrument (names are re-created on next use)."""

@@ -122,10 +122,10 @@ def disable() -> None:
 def reset_scope() -> None:
     """Drop any :func:`instrumented` scope inherited into this context.
 
-    Forked worker processes copy the parent's context variables, so a
-    worker started inside an ``instrumented()`` block would silently
+    Forked shard processes copy the parent's context variables, so a
+    shard started inside an ``instrumented()`` block would silently
     record into the parent's (now private, copy-on-write) tracer instead
-    of whatever :func:`enable` installs.  Workers call this once at
+    of whatever :func:`enable` installs.  Shards call this once at
     startup so only their own explicit ``enable`` is observed.
     """
     _scoped.set(None)

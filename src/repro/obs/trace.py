@@ -224,53 +224,6 @@ class Tracer:
             )
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
-    def adopt_rows(self, rows: List[Dict]) -> List[Span]:
-        """Graft spans exported by another tracer (:meth:`to_rows`) here.
-
-        The cross-process merge path: wavefront worker processes record
-        spans into their own tracers and ship ``to_rows()`` at session
-        end; the parent adopts them with fresh span ids (preserving the
-        worker-side parent/child structure) so one trace covers the whole
-        run.  Row timestamps are kept as-is — worker and parent clocks
-        share ``time.perf_counter`` semantics but not an epoch, so
-        adopted spans carry an ``adopted=True`` attribute for consumers
-        that care.
-        """
-        adopted: List[Span] = []
-        id_map: Dict[int, Span] = {}
-        for row in rows:
-            attrs = {
-                k: v
-                for k, v in row.items()
-                if k not in (
-                    "span_id", "parent_id", "name", "category",
-                    "depth", "start", "duration", "thread",
-                )
-            }
-            attrs["adopted"] = True
-            span = Span(
-                span_id=next(self._ids),
-                name=str(row.get("name", "")),
-                category=str(row.get("category", "")),
-                start=float(row.get("start", 0.0)),
-                thread=int(row.get("thread", 0)),
-                attrs=attrs,
-            )
-            span.end = span.start + float(row.get("duration", 0.0))
-            old_parent = row.get("parent_id")
-            parent = id_map.get(old_parent) if old_parent else None
-            with self._lock:
-                if parent is not None:
-                    span.parent_id = parent.span_id
-                    parent.children.append(span)
-                else:
-                    self.roots.append(span)
-            old_id = row.get("span_id")
-            if old_id is not None:
-                id_map[old_id] = span
-            adopted.append(span)
-        return adopted
-
     def reset(self) -> None:
         """Drop every recorded span and restart the clock."""
         with self._lock:

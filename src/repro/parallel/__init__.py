@@ -14,12 +14,7 @@ from .model import (
     phase_model,
     wt_bound,
 )
-from .lifecycle import (
-    active_shm_names,
-    get_process_pool,
-    get_thread_pool,
-    shutdown_pools,
-)
+from .lifecycle import get_thread_pool, shutdown_pools
 from .pfastlsa import (
     SimulationReport,
     build_base_tiles,
@@ -27,8 +22,6 @@ from .pfastlsa import (
     parallel_fastlsa,
     simulated_parallel_fastlsa,
 )
-from .procpool import ProcessPool
-from .shm import SharedArena, arena_spec
 
 __all__ = [
     "Tile",
@@ -56,11 +49,6 @@ __all__ = [
     "build_fill_tiles",
     "parallel_fastlsa",
     "simulated_parallel_fastlsa",
-    "ProcessPool",
-    "SharedArena",
-    "arena_spec",
-    "active_shm_names",
-    "get_process_pool",
     "get_thread_pool",
     "shutdown_pools",
 ]

@@ -1,18 +1,13 @@
-"""Shared executor lifecycle: one thread pool, one process pool, reused.
+"""Shared executor lifecycle: one wavefront thread pool, reused.
 
 Before this module, :func:`repro.parallel.executor.run_wavefront` built a
 fresh ``ThreadPoolExecutor`` per call when no pool was injected — every
-FillCache region of every service job paid thread spawn/teardown.  Both
-wavefront backends now borrow their executor from here: pools are created
-on first use, grown (by replacement) when a caller asks for more workers,
+FillCache region of every service job paid thread spawn/teardown.  The
+wavefront now borrows its executor from here: the pool is created on
+first use, grown (by replacement) when a caller asks for more workers,
 reused across alignments and service jobs, and shut down deterministically
 — via :func:`shutdown_pools` (tests, service close) or the ``atexit``
 hook.
-
-A broken process pool (a worker died — see
-:class:`~repro.errors.WorkerCrashError`) is replaced on the next
-:func:`get_process_pool` call, which is what makes worker crashes
-retryable at the service layer.
 """
 
 from __future__ import annotations
@@ -22,17 +17,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-__all__ = [
-    "get_thread_pool",
-    "get_process_pool",
-    "shutdown_pools",
-    "active_shm_names",
-]
+__all__ = ["get_thread_pool", "shutdown_pools"]
 
 _lock = threading.Lock()
 _thread_pool: Optional[ThreadPoolExecutor] = None
 _thread_pool_size = 0
-_process_pool = None  # type: ignore[var-annotated]
 
 
 def get_thread_pool(n_threads: int) -> ThreadPoolExecutor:
@@ -56,45 +45,14 @@ def get_thread_pool(n_threads: int) -> ThreadPoolExecutor:
         return _thread_pool
 
 
-def get_process_pool(n_workers: int):
-    """The shared wavefront process pool with exactly ``n_workers`` workers.
-
-    Replaces the pool when the size changes or a worker has died; the
-    replacement is what retries after a :class:`WorkerCrashError` rely on.
-    """
-    global _process_pool
-    from .procpool import ProcessPool  # deferred: multiprocessing import cost
-
-    n_workers = max(1, int(n_workers))
-    with _lock:
-        pool = _process_pool
-        if pool is not None and (pool.broken or pool.n_workers != n_workers):
-            pool.close()
-            pool = None
-        if pool is None:
-            pool = ProcessPool(n_workers)
-            _process_pool = pool
-        return pool
-
-
 def shutdown_pools() -> None:
-    """Tear down both shared pools (idempotent; used by tests and atexit)."""
-    global _thread_pool, _thread_pool_size, _process_pool
+    """Tear down the shared pool (idempotent; used by tests and atexit)."""
+    global _thread_pool, _thread_pool_size
     with _lock:
         if _thread_pool is not None:
             _thread_pool.shutdown(wait=True)
             _thread_pool = None
             _thread_pool_size = 0
-        if _process_pool is not None:
-            _process_pool.close()
-            _process_pool = None
-
-
-def active_shm_names() -> "set[str]":
-    """Shared-memory segments currently held by this process's arenas."""
-    from .shm import active_arenas
-
-    return active_arenas()
 
 
 atexit.register(shutdown_pools)

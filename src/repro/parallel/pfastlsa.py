@@ -6,7 +6,8 @@ Two front-ends over the sequential recursion of
 * :func:`parallel_fastlsa` — **threaded** execution on a real
   :class:`~concurrent.futures.ThreadPoolExecutor`.  Produces bit-identical
   alignments to the sequential algorithm; physical speedup requires
-  multiple cores (this container has one — see DESIGN.md §3).
+  multiple cores and the compiled kernel tier, whose C sweeps release
+  the GIL (see docs/PERFORMANCE.md).
 * :func:`simulated_parallel_fastlsa` — runs the real alignment once while
   feeding every FillCache / Base-Case tile DAG through the deterministic
   ``P``-processor simulator, reproducing the paper's speedup and
@@ -31,7 +32,6 @@ from ..align.sequence import as_sequence
 from ..core.config import (
     DEFAULT_BASE_CELLS,
     DEFAULT_K,
-    AlignConfig,
     FastLSAConfig,
     resolve_config,
 )
@@ -148,11 +148,14 @@ def _parallel_fill_grid(
         return
     # One score-profile gather per region; tiles take contiguous slices
     # instead of re-gathering per tile (shared fast path with the
-    # sequential kernels and the process backend).
+    # sequential kernels).
     c0 = tg.col_bounds[0]
     region_profile = score_profile(
         scheme.matrix.table, b_codes[c0 : tg.col_bounds[-1]]
     )
+    # Resolve the kernel provider here: worker threads run in their own
+    # context, so the caller's registry.use(...) would not be visible.
+    provider = registry.active("linear" if scheme.is_linear else "affine")
     # Interior grid-line lookup by global coordinate.
     row_index = {grid.row_bounds[p]: p for p in range(1, len(grid.row_bounds) - 1)}
     col_index = {grid.col_bounds[q]: q for q in range(1, len(grid.col_bounds) - 1)}
@@ -178,6 +181,7 @@ def _parallel_fill_grid(
         bottom, right = compute_block(
             a_codes[tile.a0 : tile.a1], b_codes[tile.b0 : tile.b1], scheme, top, left,
             profile=region_profile[:, tile.b0 - c0 : tile.b1 - c0],
+            provider=provider,
         )
         bottom_edges[(tile.r, tile.c)] = bottom
         right_edges[(tile.r, tile.c)] = right
@@ -279,30 +283,19 @@ def parallel_fastlsa(
     v: Optional[int] = None,
     config: Optional[FastLSAConfig] = None,
     instruments: Optional[KernelInstruments] = None,
-    backend: str = "threads",
 ) -> Alignment:
     """Wavefront-parallel FastLSA; identical output to :func:`fastlsa`.
 
+    The paper's driver: both FillCache and the Base Case run as thread
+    wavefronts (``config.backend="threads"`` parallelises FillCache only).
     ``P`` is the worker count; ``u``/``v`` the tiles per grid block
-    (defaults from :func:`repro.parallel.tiles.default_uv`).  ``backend``
-    selects ``"threads"`` (in-process pool, this module) or
-    ``"processes"`` (shared-memory worker pool — see
-    :mod:`repro.parallel.procpool`; ``u``/``v`` overrides do not apply).
+    (defaults from :func:`repro.parallel.tiles.default_uv`).
     Parameterize via ``config=``; the ``k=`` / ``base_cells=`` keywords
     are deprecated.
     """
     if P < 1:
         raise ConfigError(f"P must be >= 1, got {P}")
     cfg = resolve_config(config, k, base_cells, where="parallel_fastlsa")
-    if backend != "threads":
-        routed = AlignConfig(
-            k=cfg.k, base_cells=cfg.base_cells, max_workers=P, backend=backend
-        )
-        alignment = fastlsa(
-            seq_a, seq_b, scheme, config=routed, instruments=instruments
-        )
-        alignment.algorithm = f"parallel-fastlsa(P={P}, backend={backend})"
-        return alignment
     if u is None or v is None:
         du, dv = default_uv(P, cfg.k)
         u = u or du

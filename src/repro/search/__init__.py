@@ -8,9 +8,9 @@ The homology-search subsystem (ROADMAP item: "what FastLSA is *for*"):
   on local scores, the ALAE-style pruning tier;
 * :mod:`repro.search.engine` — :func:`search`: exact top-K over the
   corpus, pruning candidates that provably cannot reach the running
-  floor, scoring survivors with linear-space sweeps (serial, thread or
-  process backends) and materialising full FastLSA alignments for the
-  final K only.
+  floor, scoring survivors with linear-space sweeps (serial or thread
+  backend) and materialising full FastLSA alignments for the final K
+  only.
 
 Results are bit-identical to brute-force Smith–Waterman over every corpus
 sequence — pruning is an optimisation, never an approximation (enforced

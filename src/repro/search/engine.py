@@ -11,7 +11,7 @@ Three tiers, cheapest first, each feeding the next only what survives:
    bit-identical to brute force.
 2. **score** — survivors pay one linear-space
    :func:`~repro.core.local.local_best_cell` sweep (score + end cell, no
-   traceback), serially or fanned out on a thread/process pool
+   traceback), serially or fanned out on a thread pool
    (``config.backend``).
 3. **align** — only the final K materialise full alignments, via
    :func:`~repro.core.local.fastlsa_local` with the tier-2 ``best_cell``
@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -41,7 +41,7 @@ from ..align.sequence import Sequence, as_sequence
 from ..baselines.smith_waterman import LocalAlignment
 from ..core import cancel
 from ..core.config import AlignConfig, resolve_config
-from ..core.local import _best_cell_local, fastlsa_local, local_best_cell
+from ..core.local import _best_cell_local, fastlsa_local
 from ..kernels import batchdp as _batchdp
 from ..kernels import registry
 from ..errors import CandidateFailedError, ConfigError, JobTimeoutError
@@ -138,32 +138,15 @@ class SearchResult:
         }
 
 
-def _score_task(query_text: str, target_text: str, scheme: ScoringScheme,
-                kernel: str = "auto"):
-    """One tier-2 attempt: fault site + linear-space best-cell sweep.
-
-    Module-level so the processes backend can pickle it; ``kernel`` is the
-    resolved kernel tier, passed explicitly because pool workers do not
-    inherit the caller's registry context.  (Fault plans are per-process
-    state: under the processes backend the site fires in workers only if a
-    plan is installed there — chaos tests use the serial/threads backends,
-    which share the parent's plan.)
-    """
-    faults.inject(SITE_CANDIDATE_SCORE)
-    if kernel == "compiled" and not registry.compiled_available():
-        kernel = "numpy"  # worker process without the built extension
-    with registry.use(kernel):
-        return local_best_cell(query_text, target_text, scheme)
-
-
 def _score_task_codes(q_codes, t_codes, scheme: ScoringScheme, kernel: str = "auto"):
-    """Pre-encoded tier-2 attempt for the serial path.
+    """One tier-2 attempt: fault site + linear-space best-cell sweep.
 
     The query is encoded once per search (it was already needed for the
     bounds tier) and targets come straight from the index's code arrays
-    (:meth:`CorpusIndex.codes_for`), so per-candidate attempts skip the
-    text decode + re-encode round trip ``_score_task`` pays.  Same fault
-    site, same kernel dispatch, bit-identical result.
+    (:meth:`CorpusIndex.codes_for`, zero-copy views), so attempts skip
+    any text decode + re-encode.  ``kernel`` is the resolved kernel tier,
+    passed explicitly because pool threads do not inherit the caller's
+    registry context.
     """
     faults.inject(SITE_CANDIDATE_SCORE)
     with registry.use(kernel):
@@ -173,8 +156,6 @@ def _score_task_codes(q_codes, t_codes, scheme: ScoringScheme, kernel: str = "au
 def _make_pool(backend: str, max_workers: Optional[int]) -> Optional[Executor]:
     if backend == "threads":
         return ThreadPoolExecutor(max_workers=max_workers or min(32, os.cpu_count() or 1))
-    if backend == "processes":
-        return ProcessPoolExecutor(max_workers=max_workers or os.cpu_count() or 1)
     return None
 
 
@@ -208,7 +189,7 @@ def search(
         fewer candidates scoring ``>= min_score``.
     config:
         :class:`AlignConfig`; ``backend`` picks the tier-2 scoring
-        executor (``serial`` | ``threads`` | ``processes``) and
+        executor (``serial`` | ``threads``) and
         ``k`` / ``base_cells`` parameterize the final alignments.
     min_score:
         Hits must score at least this (default 1: empty matches are not
@@ -356,9 +337,9 @@ def _run_search(
             pos += chunk
 
             changed = False
-            for idx, cell in _score_batch(q, index, scheme, batch, pool, retries,
-                                          allow_partial, token, stats, kernel,
-                                          q_codes=q_codes, lanes=lanes, cut=cut):
+            for idx, cell in _score_batch(q_codes, index, scheme, batch, pool,
+                                          retries, allow_partial, token, stats,
+                                          kernel, lanes=lanes, cut=cut):
                 scored[idx] = (cell[0], cell)
                 score = cell[0]
                 if score < min_score:
@@ -462,8 +443,8 @@ def _sweep_lanes(q_codes, index, scheme, batch, token, stats, kernel, cut):
     return results
 
 
-def _score_batch(q, index, scheme, batch, pool, retries, allow_partial, token,
-                 stats, kernel="auto", *, q_codes=None, lanes=0, cut=None):
+def _score_batch(q_codes, index, scheme, batch, pool, retries, allow_partial,
+                 token, stats, kernel="auto", *, lanes=0, cut=None):
     """Score a batch of corpus positions; yields ``(idx, best_cell)``.
 
     First attempts ride the pool (when there is one) or the lane-packed
@@ -482,8 +463,11 @@ def _score_batch(q, index, scheme, batch, pool, retries, allow_partial, token,
                 results.append(_attempt_codes(q_codes, index, int(idx), scheme, kernel))
     else:
         token.check()
-        texts = [index.sequence(int(idx)).text for idx in batch]
-        futures = [pool.submit(_score_task, q.text, t, scheme, kernel) for t in texts]
+        futures = [
+            pool.submit(_score_task_codes, q_codes, index.codes_for(int(idx)),
+                        scheme, kernel)
+            for idx in batch
+        ]
         for idx, fut in zip(batch, futures):
             try:
                 results.append((int(idx), fut.result(), None))
@@ -513,15 +497,6 @@ def _score_batch(q, index, scheme, batch, pool, retries, allow_partial, token,
         # everything scored — even hits that then miss the top-K — counts
         stats.scored += 1
         yield idx, cell
-
-
-def _attempt(q, index, idx, scheme, kernel="auto"):
-    try:
-        return idx, _score_task(q.text, index.sequence(idx).text, scheme, kernel), None
-    except JobTimeoutError:
-        raise
-    except BaseException as exc:  # noqa: BLE001 - classified by caller
-        return idx, None, exc
 
 
 def _attempt_codes(q_codes, index, idx, scheme, kernel="auto"):

@@ -32,7 +32,6 @@ from typing import Dict, Optional
 from ..core.config import FastLSAConfig
 from ..core.planner import (
     Plan,
-    arena_cells,
     fastlsa_peak_cells,
     ops_ratio_bound,
     plan_alignment,
@@ -104,11 +103,7 @@ class MemoryGovernor:
         if config is not None:
             peak = fastlsa_peak_cells(m, n, config.k, config.base_cells, affine)
             notes: list = []
-            backend, workers = resolve_backend(config, notes=notes)
-            if backend == "processes":
-                # The shared-memory tile arena is real resident memory on
-                # top of the recursion's grid caches; bill it to the job.
-                peak += arena_cells(m, n, config.k, workers, affine=affine)
+            backend, _ = resolve_backend(config, notes=notes)
             if peak > self.per_job_cells:
                 self.rejections += 1
                 obs.counter_add("service.budget_rejections")

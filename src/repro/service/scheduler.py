@@ -31,11 +31,9 @@ from typing import Deque, Dict, List, Optional, Sequence as Seq, Set, Tuple
 from ..core import cancel
 from ..core.batch import _full_alignment, _quick_score, batch_align
 from ..kernels import registry
-from ..core.config import AlignConfig, FastLSAConfig
+from ..core.config import AlignConfig, FastLSAConfig, check_backend
 from ..core.planner import (
-    BACKENDS,
     Plan,
-    arena_cells,
     degrade_plan,
     plan_alignment,
     resolve_backend,
@@ -127,13 +125,11 @@ class AlignmentService:
         breaker; after ``breaker_reset_after`` seconds one trial request
         is let through.
     default_backend / backend_workers:
-        Wavefront backend (``"serial"`` / ``"threads"`` / ``"processes"``)
-        pinned onto jobs that do not carry one, with ``backend_workers``
-        wavefront workers each.  Pools are shared process-wide via
+        Wavefront backend (``"serial"`` / ``"threads"``) pinned onto jobs
+        that do not carry one, with ``backend_workers`` wavefront workers
+        each.  The thread pool is shared process-wide via
         :mod:`repro.parallel.lifecycle`, so consecutive jobs reuse warm
-        workers; worker crashes surface as transient
-        :class:`~repro.errors.WorkerCrashError` and are retried on a
-        fresh pool by the normal retry policy.
+        workers.
     tune:
         Hardware-adaptive auto-selection (service default ``"auto"``).
         ``"auto"`` loads the host's cached calibration profile
@@ -174,10 +170,8 @@ class AlignmentService:
     ) -> None:
         if max_queue_depth < 1:
             raise ConfigError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
-        if default_backend is not None and default_backend not in BACKENDS:
-            raise ConfigError(
-                f"default_backend must be one of {BACKENDS}, got {default_backend!r}"
-            )
+        if default_backend is not None:
+            check_backend(default_backend, "default_backend")
         if backend_workers < 1:
             raise ConfigError(f"backend_workers must be >= 1, got {backend_workers}")
         if max_batch < 1:
@@ -407,8 +401,7 @@ class AlignmentService:
         choice (``tune="auto"`` is the service default).  When no config
         was given, the planner first picks ``k`` / ``base_cells`` for the
         per-job allocation, then the backend is pinned on top — so the
-        governor's admission sees (and bills) the backend, including the
-        processes backend's shared arena.
+        governor's admission sees the backend (and clamps its workers).
         """
         if config is not None and getattr(config, "backend", None) is not None:
             return config
@@ -937,9 +930,9 @@ class AlignmentService:
         job's band / kernel / tune knobs survive the downgrade.  A
         parallel backend is kept only when (a) the calibration curves
         still predict it beats serial at the degraded geometry and
-        (b) its peak — including the processes arena — stays within the
-        cells already reserved for the job, so a downgrade never *grows*
-        residency past its reservation.  Returns the (possibly rebuilt)
+        (b) the degraded peak stays within the cells already reserved for
+        the job, so a downgrade never *grows* residency past its
+        reservation.  Returns the (possibly rebuilt)
         plan and the name of a dropped backend, or ``None``.
         """
         cfg0 = lead.config
@@ -959,23 +952,16 @@ class AlignmentService:
         peak = next_plan.predicted_peak_cells
         if backend0 not in (None, "serial"):
             resolved, workers = resolve_backend(cfg0)
-            par_peak = peak
-            if resolved == "processes":
-                par_peak += arena_cells(
-                    m, n, next_plan.config.k, workers, affine=affine
-                )
             cap = lead.reserved_cells or lead.plan.predicted_peak_cells
             profile = self._job_profile(cfg0)
-            keep = par_peak <= cap and (
+            keep = peak <= cap and (
                 profile is not None
                 and beats_serial(
                     profile, resolved, workers, m, n,
                     next_plan.config.k, affine=affine,
                 )
             )
-            if keep:
-                peak = par_peak
-            else:
+            if not keep:
                 dropped, backend = resolved, None
         new_cfg = AlignConfig(
             next_plan.config.k,

@@ -124,22 +124,17 @@ def calibrate(
 
     say("backend serial: end-to-end FastLSA")
     t_serial = run_backend(None, None)
-    backends: Dict[str, Dict[int, float]] = {
-        "serial": {1: cells / max(t_serial, 1e-9)}
-    }
-    handoff_s: Dict[str, float] = {}
-    for backend in ("threads", "processes"):
-        curve: Dict[int, float] = {}
-        slowdowns: List[float] = []
-        for workers in _worker_points(cpus, quick):
-            say(f"backend {backend} x{workers}: end-to-end FastLSA")
-            t = run_backend(backend, workers)
-            curve[workers] = cells / max(t, 1e-9)
-            u, v = default_uv(workers, PROBE_K)
-            tiles = (PROBE_K * u) * (PROBE_K * v)
-            slowdowns.append(max(0.0, t - t_serial) / tiles)
-        backends[backend] = curve
-        handoff_s[backend] = statistics.median(slowdowns) if slowdowns else 0.0
+    curve: Dict[int, float] = {}
+    slowdowns: List[float] = []
+    for workers in _worker_points(cpus, quick):
+        say(f"backend threads x{workers}: end-to-end FastLSA")
+        t = run_backend("threads", workers)
+        curve[workers] = cells / max(t, 1e-9)
+        u, v = default_uv(workers, PROBE_K)
+        tiles = (PROBE_K * u) * (PROBE_K * v)
+        slowdowns.append(max(0.0, t - t_serial) / tiles)
+    backends = {"serial": {1: cells / max(t_serial, 1e-9)}, "threads": curve}
+    handoff_s = {"threads": statistics.median(slowdowns) if slowdowns else 0.0}
 
     # -- band fill -----------------------------------------------------
     say("band fill: verify-or-widen score throughput")

@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
+from ..core.config import AlignConfig
 from ..errors import ConfigError
 
 __all__ = [
@@ -147,9 +148,14 @@ class CalibrationProfile:
         return float(tier.get("linear_cells_per_s", 0.0))
 
     def backend_points(self) -> Iterator[Tuple[str, int, float]]:
-        """Every measured ``(backend, workers, cells_per_s)`` point."""
+        """Every measured parallel ``(backend, workers, cells_per_s)`` point.
+
+        Curves for backends this library no longer has (profiles cached
+        before the processes backend was removed carry one) are ignored,
+        so no decision can return a backend :class:`AlignConfig` rejects.
+        """
         for backend, curve in self.backends.items():
-            if backend == "serial":
+            if backend == "serial" or backend not in AlignConfig.BACKENDS:
                 continue
             for workers, cps in curve.items():
                 yield backend, int(workers), float(cps)
@@ -160,6 +166,8 @@ class CalibrationProfile:
         points as unusable rather than extrapolating optimistically)."""
         if backend == "serial":
             return self.serial_cells_per_s() or None
+        if backend not in AlignConfig.BACKENDS:
+            return None
         curve = self.backends.get(backend)
         if not curve:
             return None

@@ -4,10 +4,9 @@ CI cannot depend on real multicore hardware, so the decision tests run
 against two frozen profiles:
 
 * ``"slow-1cpu"`` mirrors the honest BENCH_pr5_backends.json numbers from
-  the 1-CPU bench host — serial ≈100 Mcells/s with *both* parallel
-  backends measured well below it (threads ≈0.22×, processes ≈0.43×).
-  Correct decision: serial, always.
-* ``"fast-8cpu"`` models a healthy 8-way machine where the process
+  the 1-CPU bench host — serial ≈100 Mcells/s with the threads backend
+  measured well below it (≈0.22×).  Correct decision: serial, always.
+* ``"fast-8cpu"`` models a healthy 8-way machine where the threads
   backend scales to ≈5× serial at 8 workers.  Correct decision: the
   parallel point with the highest measured curve.
 
@@ -40,7 +39,7 @@ def synthetic_profile(kind: str) -> CalibrationProfile:
     """A frozen fixture profile; ``kind`` is one of :data:`SYNTHETIC_KINDS`."""
     if kind == "slow-1cpu":
         # BENCH_pr5_backends.json, 5000 bp row (cpu_count=1): serial
-        # 101 Mcells/s; threads 0.21x, processes 0.42x at 2 workers.
+        # 101 Mcells/s; threads 0.21x at 2 workers.
         return _profile(
             {"cpu_count": 1, "platform": "Linux", "machine": "x86_64",
              "python": "3.12"},
@@ -49,9 +48,8 @@ def synthetic_profile(kind: str) -> CalibrationProfile:
             backends={
                 "serial": {1: 101 * _M},
                 "threads": {2: 21.4 * _M, 4: 22.9 * _M},
-                "processes": {2: 42.8 * _M, 4: 43.9 * _M},
             },
-            handoff_s={"threads": 2.0e-4, "processes": 1.2e-4},
+            handoff_s={"threads": 2.0e-4},
             band_fill_cells_per_s=220 * _M,
             base_sweep={16_384: 88 * _M, 262_144: 101 * _M,
                         1_048_576: 97 * _M},
@@ -74,10 +72,9 @@ def synthetic_profile(kind: str) -> CalibrationProfile:
                                   "affine_cells_per_s": 400 * _M}},
             backends={
                 "serial": {1: 100 * _M},
-                "threads": {2: 150 * _M, 4: 240 * _M, 8: 310 * _M},
-                "processes": {2: 180 * _M, 4: 330 * _M, 8: 510 * _M},
+                "threads": {2: 180 * _M, 4: 330 * _M, 8: 510 * _M},
             },
-            handoff_s={"threads": 5.0e-5, "processes": 8.0e-5},
+            handoff_s={"threads": 5.0e-5},
             band_fill_cells_per_s=230 * _M,
             base_sweep={16_384: 90 * _M, 262_144: 100 * _M,
                         1_048_576: 95 * _M},

@@ -32,25 +32,9 @@ def _isolated_calibration_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(tune_profile, "_WARNED_NO_PROFILE", False)
 
 
-@pytest.fixture(autouse=True)
-def _no_shm_leaks():
-    """Every test must drain its shared-memory arenas.
-
-    The process backend's arenas are OS-level named segments: a leak
-    outlives the interpreter.  Creation is registry-tracked, so an empty
-    registry after each test proves every exit path destroyed its arena.
-    """
-    from repro.parallel.shm import active_arenas
-
-    before = active_arenas()
-    yield
-    leaked = active_arenas() - before
-    assert leaked == set(), f"leaked shared-memory arenas: {sorted(leaked)}"
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _drain_worker_pools():
-    """Tear down the shared wavefront pools once the suite finishes."""
+    """Tear down the shared wavefront pool once the suite finishes."""
     yield
     from repro.parallel import shutdown_pools
 

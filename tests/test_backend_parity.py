@@ -1,14 +1,12 @@
-"""Backend parity: serial vs threads vs processes, bit-for-bit.
+"""Backend parity: serial vs threads, bit-for-bit.
 
-The wavefront backends are pure execution strategies — every one must
-produce the *identical* optimal score AND the identical traceback path
-for the same inputs and FastLSA parameters.  This suite sweeps the
-differential harness's ``k`` / base-case configurations across all three
-backends (linear and affine schemes, plus the ends-free modes), and
-exercises the process backend's failure surface: a killed worker must
-come back as a typed, transient :class:`~repro.errors.WorkerCrashError`
-(never a hang), injected faults must propagate with their site, and
-worker trace spans must merge into the parent's instrumentation.
+The wavefront backend is a pure execution strategy — it must produce the
+*identical* optimal score AND the identical traceback path for the same
+inputs and FastLSA parameters.  This suite sweeps the differential
+harness's ``k`` / base-case configurations (linear and affine schemes,
+plus the ends-free modes) on both kernel tiers, checks that the worker
+threads run on the tier the config names, and that the removed
+``processes`` backend is a typed configuration error.
 """
 
 from __future__ import annotations
@@ -16,26 +14,22 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from repro import WorkerCrashError, fastlsa, faults, obs
+from repro import fastlsa
 from repro.core import AlignConfig, overlap_align, semiglobal_align
-from repro.errors import InjectedFaultError, MemoryBudgetError
-from repro.faults.plan import SITE_TILE_START, FaultPlan, FaultSpec
-from repro.parallel import active_shm_names, get_process_pool, parallel_fastlsa
-from repro.service.governor import MemoryGovernor
-from repro.service.resilience import is_transient
+from repro.errors import ConfigError
+from repro.kernels import registry
+from repro.parallel import parallel_fastlsa
 from repro.workloads import dna_pair, protein_pair
 
 from .test_differential import SWEEP, _assert_optimal
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["threads"]
 
 
 def _with_backend(config: AlignConfig, backend: str, workers: int = 2) -> AlignConfig:
@@ -88,81 +82,120 @@ class TestScoreAndPathParity:
             assert got.score == ref.score
             assert got.alignment.path.points == ref.alignment.path.points
 
-    def test_parallel_fastlsa_backend_param(self, dna_scheme):
+    def test_parallel_fastlsa_parallel_base_case(self, dna_scheme):
+        # The paper driver keeps its wavefront Base Case (the backend
+        # runs it serially); both must match serial bit-for-bit.
         a, b = dna_pair(140, divergence=0.25, seed=7)
-        ref = fastlsa(a, b, dna_scheme, config=AlignConfig(k=4, base_cells=256))
-        got = parallel_fastlsa(
-            a, b, dna_scheme, P=2,
-            config=AlignConfig(k=4, base_cells=256), backend="processes",
-        )
+        cfg = AlignConfig(k=4, base_cells=256)
+        ref = fastlsa(a, b, dna_scheme, config=cfg)
+        got = parallel_fastlsa(a, b, dna_scheme, P=2, config=cfg)
         assert got.score == ref.score
         assert got.path.points == ref.path.points
-        assert "processes" in got.algorithm
+        assert got.algorithm == "parallel-fastlsa(P=2)"
 
 
-class TestProcessFailureSurface:
-    CFG = AlignConfig(k=4, base_cells=64, max_workers=2, backend="processes")
+TIERS = ["numpy"] + (["compiled"] if registry.compiled_available() else [])
 
-    def test_killed_worker_raises_typed_error_not_hang(self, dna_scheme):
-        a, b = dna_pair(150, divergence=0.25, seed=9)
-        want = fastlsa(a, b, dna_scheme, config=AlignConfig(k=4, base_cells=64)).score
-        pool = get_process_pool(2)
-        os.kill(pool._procs[0].pid, signal.SIGKILL)
-        t0 = time.monotonic()
-        with pytest.raises(WorkerCrashError) as info:
-            fastlsa(a, b, dna_scheme, config=self.CFG)
-        assert time.monotonic() - t0 < 30.0  # liveness polling, not a hang
-        assert is_transient(info.value)  # the service retry policy applies
-        # lifecycle replaces the broken pool: a plain retry succeeds.
-        assert fastlsa(a, b, dna_scheme, config=self.CFG).score == want
-        assert active_shm_names() == set()
 
-    def test_injected_fault_propagates_from_worker(self, dna_scheme):
-        a, b = dna_pair(150, divergence=0.25, seed=9)
-        plan = FaultPlan(
-            [FaultSpec(SITE_TILE_START, kind="raise", p=1.0, max_fires=1)], seed=1
+class TestThreadsParityPerTier:
+    """Scores and gapped strings stay bit-identical to serial on each
+    kernel tier: linear, affine and ends-free."""
+
+    @pytest.mark.parametrize("kernel", TIERS)
+    def test_linear_affine_and_ends_free(self, dna_scheme, affine_scheme, kernel):
+        a, b = dna_pair(600, divergence=0.25, seed=13)
+        serial = AlignConfig(k=4, base_cells=1024, kernel=kernel)
+        threads = AlignConfig(
+            k=4, base_cells=1024, kernel=kernel, backend="threads", max_workers=2
         )
-        with faults.chaos(plan):
-            with pytest.raises(InjectedFaultError) as info:
-                fastlsa(a, b, dna_scheme, config=self.CFG)
-        assert info.value.site == SITE_TILE_START
-        assert info.value.transient
-        assert active_shm_names() == set()
-        # The pool survives an injected fault (no worker died).
-        ok = fastlsa(a, b, dna_scheme, config=self.CFG)
-        ref = fastlsa(a, b, dna_scheme, config=AlignConfig(k=4, base_cells=64))
-        assert ok.score == ref.score
-
-
-class TestObservabilityAcrossProcesses:
-    def test_worker_spans_and_metrics_merge(self, dna_scheme):
-        a, b = dna_pair(150, divergence=0.25, seed=4)
-        cfg = AlignConfig(k=4, base_cells=64, max_workers=2, backend="processes")
-        with obs.instrumented() as inst:
-            fastlsa(a, b, dna_scheme, config=cfg)
-        tiles = inst.tracer.find("wavefront.tile")
-        assert tiles, "no wavefront.tile spans recorded"
-        assert all(s.attrs.get("adopted") for s in tiles)
-        assert all(s.attrs.get("backend") == "processes" for s in tiles)
-        runs = inst.tracer.find("wavefront.run")
-        assert runs and not any(s.attrs.get("adopted") for s in runs)
-
-
-class TestGovernorArenaAccounting:
-    def test_processes_config_billed_for_arena(self):
-        async def go():
-            gov = MemoryGovernor(total_cells=200_000, max_workers=1)
-            serial_cfg = AlignConfig(k=2, base_cells=1024)
-            plan = gov.admit(5000, 5000, config=serial_cfg)
-            proc_cfg = AlignConfig(
-                k=2, base_cells=1024, max_workers=4, backend="processes"
+        for scheme in (dna_scheme, affine_scheme):
+            ref = fastlsa(a, b, scheme, config=serial)
+            got = fastlsa(a, b, scheme, config=threads)
+            assert (got.score, got.gapped_a, got.gapped_b) == (
+                ref.score, ref.gapped_a, ref.gapped_b
             )
-            with pytest.raises(MemoryBudgetError):
-                gov.admit(5000, 5000, config=proc_cfg)
-            return plan
+            assert got.stats.kernel == kernel
+            for fn in (semiglobal_align, overlap_align):
+                ref_ef = fn(a, b, scheme, config=serial)
+                got_ef = fn(a, b, scheme, config=threads)
+                assert got_ef.score == ref_ef.score
+                assert (got_ef.alignment.gapped_a, got_ef.alignment.gapped_b) == (
+                    ref_ef.alignment.gapped_a, ref_ef.alignment.gapped_b
+                )
 
-        plan = asyncio.run(go())
-        assert plan.predicted_peak_cells <= 200_000
+
+@pytest.mark.skipif(
+    not registry.compiled_available(), reason="compiled kernel tier not built"
+)
+class TestThreadsHonourKernel:
+    """Wavefront worker threads do not inherit the caller's
+    ``registry.use(...)``; the tier must be resolved on the submitting
+    thread, or ``kernel="numpy"`` silently runs compiled sweeps."""
+
+    @pytest.fixture
+    def compiled_calls(self):
+        calls = []
+        providers = [registry.get_kernel(kind, "compiled")
+                     for kind in registry.SCHEME_KINDS]
+        originals = [p.sweep_last_row_col for p in providers]
+        for provider, fn in zip(providers, originals):
+            def wrapped(*args, _fn=fn, **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+            # Providers are frozen dataclasses.
+            object.__setattr__(provider, "sweep_last_row_col", wrapped)
+        try:
+            yield calls
+        finally:
+            for provider, fn in zip(providers, originals):
+                object.__setattr__(provider, "sweep_last_row_col", fn)
+
+    def _run(self, scheme, kernel):
+        a, b = dna_pair(700, divergence=0.25, seed=21)
+        cfg = AlignConfig(
+            k=4, base_cells=1024, kernel=kernel, backend="threads", max_workers=2
+        )
+        return fastlsa(a, b, scheme, config=cfg)
+
+    def test_numpy_never_enters_compiled(self, compiled_calls, dna_scheme,
+                                         affine_scheme):
+        for scheme in (dna_scheme, affine_scheme):
+            assert self._run(scheme, "numpy").stats.kernel == "numpy"
+        assert compiled_calls == []
+
+    def test_compiled_enters_compiled(self, compiled_calls, dna_scheme):
+        assert self._run(dna_scheme, "compiled").stats.kernel == "compiled"
+        assert compiled_calls
+
+
+class TestRemovedProcessesBackend:
+    def test_config_error_names_threads(self):
+        with pytest.raises(ConfigError, match="threads"):
+            AlignConfig(backend="processes")
+        with pytest.raises(ConfigError, match="threads"):
+            AlignConfig.from_dict({"backend": "processes"})
+
+    def test_ndjson_config_is_protocol_error(self):
+        from .test_service_server import run_requests
+
+        responses, _ = run_requests(
+            {"memory_cells": 100_000, "tune": "off"},
+            [{"op": "align", "id": 1, "a": "ACGT", "b": "ACGA",
+              "config": {"backend": "processes"}}],
+        )
+        resp = responses[0]
+        assert not resp["ok"]
+        assert resp["error"]["type"] == "ProtocolError"
+        assert "threads" in resp["error"]["message"]
+
+    def test_service_default_backend_rejected(self):
+        from repro.service import AlignmentService
+
+        async def go():
+            AlignmentService(default_backend="processes", tune="off")
+
+        with pytest.raises(ConfigError, match="threads"):
+            asyncio.run(go())
 
 
 @pytest.mark.slow
@@ -200,7 +233,7 @@ class TestServiceBackend:
 
             async with AlignmentService(
                 memory_cells=4_000_000,
-                default_backend="processes",
+                default_backend="threads",
                 backend_workers=2,
             ) as svc:
                 results = [
@@ -210,7 +243,6 @@ class TestServiceBackend:
             return results, stats
 
         results, stats = asyncio.run(go())
-        assert stats["default_backend"] == "processes"
+        assert stats["default_backend"] == "threads"
         for (a, b), res in zip(pairs, results):
             assert res.score == fastlsa(a, b, dna_scheme, config=cfg).score
-        assert active_shm_names() == set()

@@ -5,8 +5,8 @@ degradation mechanism; these tests pin its contract at the edges —
 affine + ends-free jobs, the memory floor, the full-matrix→fastlsa rung
 — and the scheduler-side invariants added in PR 9: knob preservation
 across a downgrade, the calibrated beats-serial re-consult, and the
-governor-reservation invariant (a degraded plan, arena included, never
-outgrows the cells already reserved).
+governor-reservation invariant (a degraded plan never outgrows the
+cells already reserved).
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from repro.core.config import MIN_BASE_CELLS, AlignConfig, FastLSAConfig
 from repro.core.modes import semiglobal_align
 from repro.core.planner import (
     Plan,
-    arena_cells,
     degrade_plan,
     fastlsa_peak_cells,
     ops_ratio_bound,
     plan_alignment,
-    resolve_backend,
 )
 from repro.service import AlignmentService
 from repro.service.jobs import AlignRequest, Job
@@ -142,10 +140,10 @@ class TestSchedulerCarryConfig:
     def test_backend_dropped_when_curve_loses_to_serial(self):
         # slow-1cpu: every parallel point is measured below serial, so the
         # re-consult must shed the backend at the first downgrade.
-        cfg = AlignConfig(k=8, base_cells=65_536, backend="processes", max_workers=2)
+        cfg = AlignConfig(k=8, base_cells=65_536, backend="threads", max_workers=2)
         job = _lead_job(2_000, 2_000, _scheme(), cfg)
         plan, dropped = self._carry(synthetic_profile("slow-1cpu"), job)
-        assert dropped == "processes"
+        assert dropped == "threads"
         assert plan.config.backend is None
 
     def test_backend_kept_when_curve_still_wins(self):
@@ -156,24 +154,21 @@ class TestSchedulerCarryConfig:
         assert plan.config.backend == "threads"
         assert plan.config.max_workers == 2
 
-    def test_reservation_invariant_arena_included(self):
-        """A kept processes backend bills its arena inside the cells the
-        job already reserved; if it cannot fit, the backend is shed."""
+    def test_reservation_invariant(self):
+        """A kept parallel backend stays inside the cells the job already
+        reserved; if the degraded plan cannot fit, the backend is shed."""
         m = n = 3_000
-        cfg = AlignConfig(k=8, base_cells=65_536, backend="processes", max_workers=2)
+        cfg = AlignConfig(k=8, base_cells=65_536, backend="threads", max_workers=2)
         profile = synthetic_profile("fast-8cpu")
 
         roomy = _lead_job(m, n, _scheme(), cfg, reserved=50_000_000)
         plan, dropped = self._carry(profile, roomy)
-        assert dropped is None and plan.config.backend == "processes"
-        _, workers = resolve_backend(plan.config)
-        arena = arena_cells(m, n, plan.config.k, workers, affine=False)
-        assert plan.predicted_peak_cells >= arena  # arena is billed
+        assert dropped is None and plan.config.backend == "threads"
         assert plan.predicted_peak_cells <= roomy.reserved_cells
 
         tight = _lead_job(m, n, _scheme(), cfg, reserved=1)
         plan, dropped = self._carry(profile, tight)
-        assert dropped == "processes"
+        assert dropped == "threads"
         assert plan.config.backend is None
 
     def test_downgrade_label_records_shed_backend(self):

@@ -9,6 +9,8 @@ compiled extension is built — these tests run in both CI jobs.
 """
 
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -386,3 +388,63 @@ class TestBracketSweepsHonourKernel:
             self._run_all(AlignConfig(kernel="compiled"), lin_scheme, aff_scheme)
         assert {(k, "sweep_last_row_col") for k in registry.SCHEME_KINDS} <= set(compiled_calls)
         assert {(k, "best_cell_local") for k in registry.SCHEME_KINDS} <= set(compiled_calls)
+
+
+def _spinner_share(call) -> float:
+    """Run ``call`` while a pure-Python thread counts loop iterations.
+
+    Returns the spinner's progress during the call as a fraction of what
+    it manages alone over the same time.  A C call that holds the GIL
+    starves the spinner (share near zero); one that releases it leaves
+    the spinner running (share near one on two cores, about half on one).
+    """
+    count = [0]
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            count[0] += 1
+
+    spinner = threading.Thread(target=spin, daemon=True)
+    spinner.start()
+    try:
+        time.sleep(0.02)  # let the spinner get going
+        c0, t0 = count[0], time.perf_counter()
+        time.sleep(0.05)  # sleep releases the GIL: the spinner runs alone
+        solo_rate = (count[0] - c0) / (time.perf_counter() - t0)
+        c0, t0 = count[0], time.perf_counter()
+        call()
+        elapsed = time.perf_counter() - t0
+        during = count[0] - c0
+    finally:
+        stop.set()
+        spinner.join(timeout=5)
+    assert not spinner.is_alive()
+    return during / (solo_rate * elapsed)
+
+
+@needs_compiled
+class TestCompiledReleasesGil:
+    """The threads backend scales only because cffi releases the GIL
+    around each compiled sweep; pin that."""
+
+    def test_sweep_last_row_col_releases_gil(self, lin_scheme):
+        provider = registry.get_kernel("linear", "compiled")
+        table = lin_scheme.matrix.table
+        rng = np.random.default_rng(3)
+
+        def sweep(m, n):
+            a = rng.integers(0, 4, m).astype(np.int64)
+            b = rng.integers(0, 4, n).astype(np.int64)
+            row = np.arange(n + 1, dtype=np.int64) * -6
+            col = np.arange(m + 1, dtype=np.int64) * -6
+            return lambda: provider.sweep_last_row_col(a, b, table, -6, row, col)
+
+        # Size the call to about 50 ms on this machine.
+        probe = sweep(1000, 1000)
+        t0 = time.perf_counter()
+        probe()
+        per_cell = max(time.perf_counter() - t0, 1e-6) / 1e6
+        side = int(min(12_000, max(1000, (0.05 / per_cell) ** 0.5)))
+        share = _spinner_share(sweep(side, side))
+        assert share > 0.25, f"spinner share {share:.3f} during a {side}^2 sweep"

@@ -68,7 +68,7 @@ class TestDifferential:
     """search() == brute force, across gap models × backends × seeds."""
 
     @pytest.mark.parametrize("scheme_name", ["dna_scheme", "affine_dna_scheme"])
-    @pytest.mark.parametrize("backend", [None, "threads", "processes"])
+    @pytest.mark.parametrize("backend", [None, "threads"])
     def test_matches_brute_force(self, request, rng, scheme_name, backend):
         scheme = request.getfixturevalue(scheme_name)
         base = Sequence(random_dna(rng, 90), name="base")

@@ -30,7 +30,7 @@ def _profile_with_cache(cache_cells: int) -> CalibrationProfile:
         host=host,
         kernels={"numpy": {"linear_cells_per_s": 1e8, "affine_cells_per_s": 4e7}},
         backends={"serial": {1: 1e8}, "threads": {2: 2e8, 4: 3e8}},
-        handoff_s={"threads": 1e-5, "processes": 1e-5},
+        handoff_s={"threads": 1e-5},
         band_fill_cells_per_s=0.0,
         base_sweep={cache_cells: 1e8, cache_cells * 8: 6e7},
         synthetic=True,

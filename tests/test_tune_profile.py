@@ -36,7 +36,7 @@ def _real_host_profile() -> CalibrationProfile:
         host=dict(info, fingerprint=host_fingerprint(info)),
         kernels={"numpy": {"linear_cells_per_s": 80e6, "affine_cells_per_s": 30e6}},
         backends={"serial": {1: 80e6}, "threads": {2: 20e6}},
-        handoff_s={"threads": 1e-4, "processes": 1e-4},
+        handoff_s={"threads": 1e-4},
         band_fill_cells_per_s=100e6,
         base_sweep={16384: 70e6, 262144: 80e6},
         quick=True,
@@ -172,6 +172,38 @@ class TestLoadProfile:
         assert default_cache_path().startswith(str(tmp_path / "alt"))
 
 
+class TestProfilesWithRemovedBackend:
+    """Profiles cached before the processes backend was removed carry
+    ``backends["processes"]`` and ``handoff_s["processes"]``; they must
+    load and never plan a backend :class:`AlignConfig` rejects."""
+
+    def _old_profile(self, tmp_path) -> str:
+        p = _real_host_profile()
+        p.backends["threads"] = {2: 120e6}
+        p.backends["processes"] = {2: 400e6}  # beats serial and threads
+        p.handoff_s["processes"] = 1e-6
+        path = str(tmp_path / "old.json")
+        p.save(path)
+        return path
+
+    def test_loads_and_plans_threads_or_serial(self, tmp_path):
+        from repro.core.config import AlignConfig
+        from repro.tune import autotune_config, beats_serial, choose
+
+        profile = load_cached(self._old_profile(tmp_path))
+        assert profile is not None
+        assert "processes" in profile.backends  # kept on disk, ignored
+        assert all(b != "processes" for b, _, _ in profile.backend_points())
+        assert profile.cells_per_s("processes", 2) is None
+        assert profile.best_backend() == ("threads", 2)
+        assert not beats_serial(profile, "processes", 2, 50_000, 50_000, 8)
+        for size in (100, 10_000, 100_000):
+            choice = choose(profile, size, size)
+            assert choice.backend in AlignConfig.BACKENDS
+            cfg, _ = autotune_config(AlignConfig(), size, size, profile=profile)
+            assert cfg.backend in ("serial", "threads")
+
+
 class TestCurveQueries:
     def test_best_backend_never_below_serial(self):
         p = synthetic_profile("slow-1cpu")
@@ -181,7 +213,7 @@ class TestCurveQueries:
     def test_best_backend_picks_fastest_winner(self):
         p = synthetic_profile("fast-8cpu")
         backend, workers = p.best_backend()
-        assert (backend, workers) == ("processes", 8)
+        assert (backend, workers) == ("threads", 8)
 
     def test_cells_per_s_unmeasured_is_none(self):
         p = synthetic_profile("slow-1cpu")
@@ -209,4 +241,4 @@ def test_quick_calibrate_produces_consumable_profile(tmp_path):
     profile.save(path)
     assert load_cached(path) is not None
     cfg, _ = autotune_config(AlignConfig(), 512, 512, profile=profile)
-    assert cfg.backend in ("serial", "threads", "processes")
+    assert cfg.backend in ("serial", "threads")
