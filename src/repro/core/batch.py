@@ -163,7 +163,7 @@ def _score_lanes(q, seqs, scheme, mode, cfg, tier, lanes):
         pack, lens = batchdp.pack_lanes([t_codes[i] for i in group])
         B, Np = pack.shape
         obs.counter_add("batch.sweeps")
-        obs.observe("batch.lane_occupancy", B / max(lanes, 1))
+        obs.observe("batch.lane_occupancy", batchdp.lane_occupancy(B))
         obs.observe(
             "batch.pad_waste", 1.0 - float(lens.sum()) / max(B * Np, 1)
         )

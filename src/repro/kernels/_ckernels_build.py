@@ -18,11 +18,19 @@ numpy tier, not merely equivalent):
   every impossible state is stored as exactly ``NEG_INF`` and candidates
   are screened with the same ``> NEG_INF/2`` test, making the band
   matrices bit-comparable across tiers.
+* The lane-inner best-local batch kernels run int32 cells only when the
+  caller has proved every reachable value fits (see
+  :func:`repro.kernels.compiled.batch_elem`); otherwise the int64
+  instance of the same body runs, so the cell type never shows in the
+  output words.
 """
 
 from __future__ import annotations
 
 import os
+import string
+
+from .batchdp import SIMD_LANES
 
 CDEF = """
 int flsa_lin_sweep(const int16_t *a, long M, const int16_t *b, long N,
@@ -54,21 +62,23 @@ void flsa_aff_band_fill(const int16_t *a, long M, const int16_t *b, long N,
                         const int64_t *table, long A,
                         int64_t open_, int64_t extend, long dmin, long W,
                         int64_t *BH, int64_t *BE, int64_t *BF);
-int flsa_lin_batch_best_local(const int16_t *a, long M,
+int flsa_batch_best_local_i32(const int16_t *a, long M,
                               const int16_t *bp, long B, long Np,
                               const int64_t *lens,
-                              const int64_t *table, long A, int64_t gap,
-                              int has_floor, int64_t floor_, int64_t maxs,
-                              int64_t *out_score, int64_t *out_bi,
-                              int64_t *out_bj, int64_t *out_pruned);
-int flsa_aff_batch_best_local(const int16_t *a, long M,
-                              const int16_t *bp, long B, long Np,
-                              const int64_t *lens,
-                              const int64_t *table, long A,
+                              const int64_t *table, long A, int affine,
                               int64_t open_, int64_t extend,
                               int has_floor, int64_t floor_, int64_t maxs,
                               int64_t *out_score, int64_t *out_bi,
                               int64_t *out_bj, int64_t *out_pruned);
+int flsa_batch_best_local_i64(const int16_t *a, long M,
+                              const int16_t *bp, long B, long Np,
+                              const int64_t *lens,
+                              const int64_t *table, long A, int affine,
+                              int64_t open_, int64_t extend,
+                              int has_floor, int64_t floor_, int64_t maxs,
+                              int64_t *out_score, int64_t *out_bi,
+                              int64_t *out_bj, int64_t *out_pruned);
+int flsa_batch_isa(void);
 int flsa_lin_batch_score_global(const int16_t *a, long M,
                                 const int16_t *bp, long B, long Np,
                                 const int64_t *lens,
@@ -440,134 +450,15 @@ void flsa_aff_band_fill(const int16_t *a, long M, const int16_t *b, long N,
 
 /* ---- lane-packed batch kernels -----------------------------------------
  * One query against B targets packed as bp (B rows of Np int16 codes,
- * right-padded; lens[lane] gives the valid prefix).  Each lane runs the
- * existing per-pair loop serially — the win over the per-pair entry
- * points is amortising the Python/cffi call and buffer setup across the
- * whole pack.  Bit-identity with repro.kernels.batchdp's numpy lanes:
+ * right-padded; lens[lane] gives the valid prefix).
  *
- * - pads are simply never visited (the inner loop stops at lens[lane]),
- *   mirroring the numpy tier's pad-masked argmax / per-lane score gather;
- * - the best-local floor check is evaluated after every row i < M for
- *   every lane — including lens == 0 lanes, whose empty rows still leave
- *   rowmax at the clamped-boundary value 0 — with the same admissible cap
- *   max(best, rowmax + (M-i)*maxs) and the same *strict* cap < floor
- *   retirement, so the per-lane (score, bi, bj, pruned) quadruple matches
- *   the numpy batch kernel word for word regardless of its lane
- *   compaction schedule (the floor is fixed per call).
+ * The global-score kernels below walk the pack lane by lane with the
+ * per-pair loop; their win over the per-pair entry points is amortising
+ * the Python/cffi call and buffer setup across the pack.  The best-local
+ * kernels (flsa_batch_best_local_{i32,i64}, at the end of this file) put
+ * the lanes in the innermost loop instead, so one vector instruction
+ * advances a cell of many targets at once.
  */
-
-int flsa_lin_batch_best_local(const int16_t *a, long M,
-                              const int16_t *bp, long B, long Np,
-                              const int64_t *lens,
-                              const int64_t *table, long A, int64_t gap,
-                              int has_floor, int64_t floor_, int64_t maxs,
-                              int64_t *out_score, int64_t *out_bi,
-                              int64_t *out_bj, int64_t *out_pruned)
-{
-    int64_t *buf;
-    long lane, i, j;
-    buf = (int64_t *)malloc((size_t)(2 * (Np + 1)) * sizeof(int64_t));
-    if (buf == NULL)
-        return 1;
-    for (lane = 0; lane < B; lane++) {
-        const int16_t *b = bp + lane * Np;
-        long N = (long)lens[lane];
-        int64_t *prev = buf, *cur = buf + (Np + 1), *tmp;
-        int64_t best = 0;
-        long bi = 0, bj = 0;
-        int pruned = 0;
-        for (j = 0; j <= N; j++) prev[j] = 0;
-        for (i = 1; i <= M; i++) {
-            const int64_t *trow = table + (long)a[i - 1] * A;
-            int64_t rowmax = 0; /* column 0 of a clamped row is always 0 */
-            cur[0] = 0;
-            for (j = 1; j <= N; j++) {
-                int64_t v = prev[j - 1] + trow[b[j - 1]];
-                int64_t u = prev[j] + gap;
-                int64_t c = cur[j - 1] + gap;
-                int64_t h;
-                if (u > v) v = u;
-                if (v < 0) v = 0;
-                h = v > c ? v : c;
-                cur[j] = h;
-                if (h > best) { best = h; bi = i; bj = j; }
-                if (h > rowmax) rowmax = h;
-            }
-            tmp = prev; prev = cur; cur = tmp;
-            if (has_floor && i < M) {
-                int64_t cap = rowmax + (int64_t)(M - i) * maxs;
-                if (best > cap) cap = best;
-                if (cap < floor_) { pruned = 1; break; }
-            }
-        }
-        out_score[lane] = best;
-        out_bi[lane] = bi;
-        out_bj[lane] = bj;
-        out_pruned[lane] = pruned;
-    }
-    free(buf);
-    return 0;
-}
-
-int flsa_aff_batch_best_local(const int16_t *a, long M,
-                              const int16_t *bp, long B, long Np,
-                              const int64_t *lens,
-                              const int64_t *table, long A,
-                              int64_t open_, int64_t extend,
-                              int has_floor, int64_t floor_, int64_t maxs,
-                              int64_t *out_score, int64_t *out_bi,
-                              int64_t *out_bj, int64_t *out_pruned)
-{
-    int64_t *buf;
-    long lane, i, j;
-    buf = (int64_t *)malloc((size_t)(4 * (Np + 1)) * sizeof(int64_t));
-    if (buf == NULL)
-        return 1;
-    for (lane = 0; lane < B; lane++) {
-        const int16_t *b = bp + lane * Np;
-        long N = (long)lens[lane];
-        int64_t *prev_h = buf, *prev_f = buf + (Np + 1);
-        int64_t *cur_h = buf + 2 * (Np + 1), *cur_f = buf + 3 * (Np + 1);
-        int64_t best = 0;
-        long bi = 0, bj = 0;
-        int pruned = 0;
-        for (j = 0; j <= N; j++) { prev_h[j] = 0; prev_f[j] = NEG_INF; }
-        for (i = 1; i <= M; i++) {
-            const int64_t *trow = table + (long)a[i - 1] * A;
-            int64_t e_prev = NEG_INF, h_left = 0, rowmax = 0, *tmp;
-            cur_h[0] = 0;
-            cur_f[0] = NEG_INF;
-            for (j = 1; j <= N; j++) {
-                int64_t f = max2(prev_h[j] + open_, prev_f[j] + extend);
-                int64_t v = prev_h[j - 1] + trow[b[j - 1]];
-                int64_t e = max2(h_left + open_, e_prev + extend);
-                int64_t h;
-                if (f > v) v = f;
-                if (v < 0) v = 0;
-                h = v > e ? v : e;
-                cur_h[j] = h;
-                cur_f[j] = f;
-                if (h > best) { best = h; bi = i; bj = j; }
-                if (h > rowmax) rowmax = h;
-                e_prev = e;
-                h_left = h;
-            }
-            tmp = prev_h; prev_h = cur_h; cur_h = tmp;
-            tmp = prev_f; prev_f = cur_f; cur_f = tmp;
-            if (has_floor && i < M) {
-                int64_t cap = rowmax + (int64_t)(M - i) * maxs;
-                if (best > cap) cap = best;
-                if (cap < floor_) { pruned = 1; break; }
-            }
-        }
-        out_score[lane] = best;
-        out_bi[lane] = bi;
-        out_bj[lane] = bj;
-        out_pruned[lane] = pruned;
-    }
-    free(buf);
-    return 0;
-}
 
 int flsa_lin_batch_score_global(const int16_t *a, long M,
                                 const int16_t *bp, long B, long Np,
@@ -653,7 +544,211 @@ int flsa_aff_batch_score_global(const int16_t *a, long M,
     free(buf);
     return 0;
 }
+
+/* ---- lane-inner best-local batch kernels --------------------------------
+ * Inter-sequence SIMD (the SWIPE layout): the pack is swept in blocks of
+ * L targets (repro.kernels.batchdp.SIMD_LANES) with the lane as the
+ * innermost loop, so the compiler turns each cell update into a few
+ * vector instructions covering the whole block.  Per block:
+ *
+ * - a query profile prof[c][j][lane] = table[c][b_lane[j]] makes the
+ *   substitution score of row symbol c a contiguous L-wide load;
+ * - the rolling H (and, affine, F) row is stored [column][lane];
+ * - every lane carries a column limit, lens[lane] while it is live and -1
+ *   once retired (or for the unused tail of the last block).  Cells past a
+ *   lane's limit are computed but masked to 0 before the row max, so pads
+ *   never reach the row max or the best cell (the same pad masking as the
+ *   numpy tier), and a retired lane stops updating without any lane
+ *   compaction;
+ * - each lane keeps its row max with its first column; after the row a
+ *   strictly greater row max moves the best cell, which reproduces the
+ *   per-pair kernels' first row-major strict maximum;
+ * - after every row i < M the floor check evaluates, for every live lane
+ *   (including lens == 0 lanes, whose rows stay at the clamped value 0),
+ *   the admissible cap max(best, rowmax + (M-i)*maxs) in int64 and retires
+ *   the lane on the strict cap < floor, as repro.kernels.batchdp does.
+ *   Rows then stop at the longest live lane, and a block whose lanes all
+ *   retired stops.
+ *
+ * Linear gaps run the same body without the E/F layers (affine == 0);
+ * the affine recurrence requires open <= extend like every other Gotoh
+ * kernel here.  The body is written once over the cell type: the int32
+ * instance runs when every reachable value fits with margin (the caller
+ * checks min(M, Np)*maxs and the table and gap magnitudes), the int64
+ * instance is the overflow path.  So (score, bi, bj, pruned) is word-
+ * identical to the numpy batch kernels on either instance.
+ */
+
+#if defined(__GNUC__) || defined(__clang__)
+#define FLSA_INLINE static inline __attribute__((always_inline))
+#else
+#define FLSA_INLINE static inline
+#endif
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define FLSA_CLONES __attribute__((target_clones("avx2", "default")))
+#define FLSA_HAVE_CLONES 1
+#else
+#define FLSA_CLONES
+#define FLSA_HAVE_CLONES 0
+#endif
+
+/* 1 when the best-local kernels dispatch to their AVX2 clone on this CPU
+ * (the same test the target_clones resolver makes), else 0. */
+int flsa_batch_isa(void)
+{
+#if FLSA_HAVE_CLONES
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? 1 : 0;
+#else
+    return 0;
+#endif
+}
 """
+
+#: The lane-inner best-local body, written once over its cell type.
+BATCH_BEST_LOCAL = string.Template(r"""
+FLSA_INLINE int batch_best_local_$S(
+    const int16_t *a, long M, const int16_t *bp, long B, long Np,
+    const int64_t *lens, const int64_t *table, long A, const int affine,
+    const $T open_, const $T extend, int has_floor, int64_t floor_,
+    int64_t maxs, int64_t *out_score, int64_t *out_bi, int64_t *out_bj,
+    int64_t *out_pruned)
+{
+    enum { L = $LANES };
+    /* -inf for F (row 0) and E (column 0): each gets one extend added
+     * before a real gap-open candidate (>= open_, as H >= 0) wins. */
+    const $T neg = $NEG;
+    $T *prof = ($T *)malloc((size_t)(A * Np * L + 1) * sizeof($T));
+    $T *hrow = ($T *)malloc((size_t)((Np + 1) * L) * sizeof($T));
+    $T *frow = ($T *)malloc((size_t)((Np + 1) * L) * sizeof($T));
+    long base;
+
+    if (prof == NULL || hrow == NULL || frow == NULL) {
+        free(prof); free(hrow); free(frow);
+        return 1;
+    }
+    for (base = 0; base < B; base += L) {
+        $T lim[L], best[L], rmax[L], rarg[L], bj[L];
+        $T diag[L], left[L], e[L];
+        long bi[L], nl = (B - base < L) ? B - base : L;
+        long Nb = 0, ncols, i, j, c, l;
+        int pruned[L];
+
+        for (l = 0; l < L; l++) {
+            lim[l] = (l < nl) ? ($T)lens[base + l] : -1;
+            if (lim[l] > Nb) Nb = (long)lim[l];
+            best[l] = 0; bi[l] = 0; bj[l] = 0; pruned[l] = 0;
+        }
+        for (c = 0; c < A; c++) {
+            const int64_t *trow = table + c * A;
+            $T *pc = prof + c * Nb * L;
+            for (j = 0; j < Nb; j++)
+                for (l = 0; l < L; l++)
+                    pc[j * L + l] =
+                        (l < nl) ? ($T)trow[bp[(base + l) * Np + j]] : 0;
+        }
+        for (j = 0; j < (Nb + 1) * L; j++) {
+            hrow[j] = 0;
+            frow[j] = neg;
+        }
+        ncols = Nb;
+
+        for (i = 1; i <= M; i++) {
+            const $T *pr = prof + (long)a[i - 1] * Nb * L;
+            for (l = 0; l < L; l++) {
+                diag[l] = 0; left[l] = 0; e[l] = neg;
+                rmax[l] = 0; rarg[l] = 0;
+            }
+            for (j = 1; j <= ncols; j++) {
+                $T *restrict hp = hrow + j * L;
+                $T *restrict fp = frow + j * L;
+                const $T *restrict s = pr + (j - 1) * L;
+                const $T jj = ($T)j;
+                for (l = 0; l < L; l++) {
+                    $T up = hp[l], v = diag[l] + s[l], h, hm, t;
+                    if (affine) {
+                        $T f = fp[l] + extend, ee = e[l] + extend;
+                        t = up + open_;     f = t > f ? t : f;
+                        t = left[l] + open_; ee = t > ee ? t : ee;
+                        fp[l] = f;
+                        e[l] = ee;
+                        v = f > v ? f : v;
+                        v = v > 0 ? v : 0;
+                        h = ee > v ? ee : v;
+                    } else {
+                        t = up + open_;      v = t > v ? t : v;
+                        v = v > 0 ? v : 0;
+                        t = left[l] + open_; h = t > v ? t : v;
+                    }
+                    diag[l] = up;
+                    left[l] = h;
+                    hp[l] = h;
+                    hm = jj <= lim[l] ? h : 0;
+                    rarg[l] = hm > rmax[l] ? jj : rarg[l];
+                    rmax[l] = hm > rmax[l] ? hm : rmax[l];
+                }
+            }
+            for (l = 0; l < L; l++) {
+                if (rmax[l] > best[l]) {
+                    best[l] = rmax[l]; bi[l] = i; bj[l] = rarg[l];
+                }
+            }
+            if (has_floor && i < M) {
+                long live = 0, widest = 0;
+                for (l = 0; l < nl; l++) {
+                    int64_t cap;
+                    if (lim[l] < 0)
+                        continue;
+                    cap = (int64_t)rmax[l] + (int64_t)(M - i) * maxs;
+                    if ((int64_t)best[l] > cap) cap = (int64_t)best[l];
+                    if (cap < floor_) {
+                        lim[l] = -1;
+                        pruned[l] = 1;
+                        continue;
+                    }
+                    live++;
+                    if ((long)lim[l] > widest) widest = (long)lim[l];
+                }
+                if (live == 0)
+                    break;
+                ncols = widest;
+            }
+        }
+        for (l = 0; l < nl; l++) {
+            out_score[base + l] = (int64_t)best[l];
+            out_bi[base + l] = bi[l];
+            out_bj[base + l] = (int64_t)bj[l];
+            out_pruned[base + l] = pruned[l];
+        }
+    }
+    free(prof); free(hrow); free(frow);
+    return 0;
+}
+
+/* Linear gaps run with affine = 0 and open_ = extend = gap; the constant
+ * affine flag lets the compiler specialise the inlined body per kind. */
+FLSA_CLONES int flsa_batch_best_local_$S(
+    const int16_t *a, long M, const int16_t *bp, long B, long Np,
+    const int64_t *lens, const int64_t *table, long A, int affine,
+    int64_t open_, int64_t extend, int has_floor, int64_t floor_,
+    int64_t maxs, int64_t *out_score, int64_t *out_bi, int64_t *out_bj,
+    int64_t *out_pruned)
+{
+    if (affine)
+        return batch_best_local_$S(a, M, bp, B, Np, lens, table, A, 1,
+                                   ($T)open_, ($T)extend, has_floor, floor_,
+                                   maxs, out_score, out_bi, out_bj,
+                                   out_pruned);
+    return batch_best_local_$S(a, M, bp, B, Np, lens, table, A, 0,
+                               ($T)open_, ($T)open_, has_floor, floor_, maxs,
+                               out_score, out_bi, out_bj, out_pruned);
+}
+""")
+
+SOURCE += BATCH_BEST_LOCAL.substitute(
+    S="i32", T="int32_t", NEG="-(((int32_t)1) << 29)", LANES=SIMD_LANES
+)
+SOURCE += BATCH_BEST_LOCAL.substitute(S="i64", T="int64_t", NEG="NEG_INF", LANES=SIMD_LANES)
 
 
 def build(verbose: bool = False) -> str:

@@ -54,6 +54,8 @@ from .affine import NEG_INF
 from .ops import OpCounter
 
 __all__ = [
+    "SIMD_LANES",
+    "lane_occupancy",
     "pack_lanes",
     "batch_best_cell_local",
     "batch_best_cell_local_affine",
@@ -65,6 +67,17 @@ __all__ = [
 #: above any reachable score magnitude, far below int64 overflow even
 #: after subtracting from NEG_INF-adjacent values.
 _PAD_PENALTY = np.int64(1) << 50
+
+#: Lanes per block of the compiled lane-inner best-local kernels (built
+#: into them by :mod:`repro.kernels._ckernels_build`).  A pack of ``B``
+#: targets sweeps ``SIMD_LANES * ceil(B / SIMD_LANES)`` lanes.
+SIMD_LANES = 16
+
+
+def lane_occupancy(B: int) -> float:
+    """Filled lanes over SIMD lanes swept for a ``B``-target pack."""
+    blocks = -(-int(B) // SIMD_LANES)
+    return B / (SIMD_LANES * blocks) if blocks else 0.0
 
 
 def pack_lanes(

@@ -455,8 +455,71 @@ def _batch_args(a_codes, b_pack, b_lens, table):
     bp = _i16(b_pack)
     lens = _i64(b_lens)
     tbl = _i64(table)
-    B, Np = bp.shape
+    B, Np = _batch._check_pack(bp, lens)
+    if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
+        raise ValueError(f"table must be square, got shape {tbl.shape}")
     return a, bp, lens, tbl, B, Np
+
+
+#: The int32 instance runs only while every reachable cell value stays
+#: below this, leaving headroom under 2**31 for one more score or gap.
+_I32_LIMIT = 1 << 29
+
+
+def batch_elem(M: int, Np: int, table: np.ndarray, open_: int, extend: int) -> str:
+    """Cell type of the best-local instance a call runs: ``"int32"`` or
+    ``"int64"``.
+
+    A clamped local cell lies in ``[0, min(M, Np) * maxs]``; a candidate
+    adds at most one table entry or gap term to such a value.
+    """
+    hi, lo = int(np.max(table)), int(np.min(table))
+    mag = max(abs(hi), abs(lo), abs(int(open_)), abs(int(extend)))
+    return "int32" if min(M, Np) * max(0, hi) + 2 * mag < _I32_LIMIT else "int64"
+
+
+def batch_isa() -> str:
+    """ISA clone the best-local kernels dispatch to on this CPU:
+    ``"avx2"`` or ``"default"``.  (Called lazily, not at import, so an
+    extension built from older sources still reaches the registry's
+    stale-build check.)"""
+    return "avx2" if lib.flsa_batch_isa() else "default"
+
+
+def batch_variant(M: int, Np: int, table: np.ndarray, open_: int, extend: int) -> dict:
+    """``{"elem", "isa"}`` of the best-local kernel a call would run."""
+    return {"elem": batch_elem(M, Np, table, open_, extend), "isa": batch_isa()}
+
+
+def _batch_best_local(a_codes, b_pack, b_lens, table, affine, open_, extend,
+                      floor, counter, fallback):
+    a, bp, lens, tbl, B, Np = _batch_args(a_codes, b_pack, b_lens, table)
+    M = len(a)
+    if B == 0 or M == 0 or Np == 0:
+        return fallback()
+    if counter is not None:
+        # Ceiling: the C loop stops floor-retired lanes early, so the
+        # true cell count can be lower.  Matches the per-pair tier's
+        # "problem size" accounting rather than numpy batch's exact
+        # alive-lane sum.
+        counter.add_cells(int(M * lens.sum()))
+    maxs = max(0, int(tbl.max()))
+    kernel = (lib.flsa_batch_best_local_i32
+              if batch_elem(M, Np, tbl, open_, extend) == "int32"
+              else lib.flsa_batch_best_local_i64)
+    score = np.empty(B, dtype=np.int64)
+    bi = np.empty(B, dtype=np.int64)
+    bj = np.empty(B, dtype=np.int64)
+    pruned = np.empty(B, dtype=np.int64)
+    rc = kernel(
+        _ptr16(a), M, _ptr16(bp), B, Np, _ptr64(lens),
+        _ptr64(tbl), tbl.shape[1], int(affine), int(open_), int(extend),
+        int(floor is not None), int(floor or 0), maxs,
+        _out64(score), _out64(bi), _out64(bj), _out64(pruned),
+    )
+    if rc:
+        raise MemoryError("flsa_batch_best_local: allocation failed")
+    return score, bi, bj, pruned.astype(bool)
 
 
 def batch_best_cell_local(
@@ -469,32 +532,12 @@ def batch_best_cell_local(
     floor: Optional[int] = None,
     counter: Optional[OpCounter] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    a, bp, lens, tbl, B, Np = _batch_args(a_codes, b_pack, b_lens, table)
-    M = len(a)
-    if B == 0 or M == 0 or Np == 0:
-        return _batch.batch_best_cell_local(
+    return _batch_best_local(
+        a_codes, b_pack, b_lens, table, False, gap, gap, floor, counter,
+        lambda: _batch.batch_best_cell_local(
             a_codes, b_pack, b_lens, table, gap, floor=floor, counter=counter
-        )
-    if counter is not None:
-        # Ceiling: the C loop breaks out of floor-pruned lanes early, so
-        # the true cell count can be lower.  Matches the per-pair tier's
-        # "problem size" accounting rather than numpy batch's exact
-        # alive-lane sum.
-        counter.add_cells(int(M * lens.sum()))
-    maxs = max(0, int(tbl.max()))
-    score = np.empty(B, dtype=np.int64)
-    bi = np.empty(B, dtype=np.int64)
-    bj = np.empty(B, dtype=np.int64)
-    pruned = np.empty(B, dtype=np.int64)
-    rc = lib.flsa_lin_batch_best_local(
-        _ptr16(a), M, _ptr16(bp), B, Np, _ptr64(lens),
-        _ptr64(tbl), tbl.shape[1], int(gap),
-        int(floor is not None), int(floor or 0), maxs,
-        _out64(score), _out64(bi), _out64(bj), _out64(pruned),
+        ),
     )
-    if rc:
-        raise MemoryError("flsa_lin_batch_best_local: allocation failed")
-    return score, bi, bj, pruned.astype(bool)
 
 
 def batch_best_cell_local_affine(
@@ -508,29 +551,13 @@ def batch_best_cell_local_affine(
     floor: Optional[int] = None,
     counter: Optional[OpCounter] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    a, bp, lens, tbl, B, Np = _batch_args(a_codes, b_pack, b_lens, table)
-    M = len(a)
-    if B == 0 or M == 0 or Np == 0:
-        return _batch.batch_best_cell_local_affine(
+    return _batch_best_local(
+        a_codes, b_pack, b_lens, table, True, open_, extend, floor, counter,
+        lambda: _batch.batch_best_cell_local_affine(
             a_codes, b_pack, b_lens, table, open_, extend,
             floor=floor, counter=counter,
-        )
-    if counter is not None:
-        counter.add_cells(int(M * lens.sum()))
-    maxs = max(0, int(tbl.max()))
-    score = np.empty(B, dtype=np.int64)
-    bi = np.empty(B, dtype=np.int64)
-    bj = np.empty(B, dtype=np.int64)
-    pruned = np.empty(B, dtype=np.int64)
-    rc = lib.flsa_aff_batch_best_local(
-        _ptr16(a), M, _ptr16(bp), B, Np, _ptr64(lens),
-        _ptr64(tbl), tbl.shape[1], int(open_), int(extend),
-        int(floor is not None), int(floor or 0), maxs,
-        _out64(score), _out64(bi), _out64(bj), _out64(pruned),
+        ),
     )
-    if rc:
-        raise MemoryError("flsa_aff_batch_best_local: allocation failed")
-    return score, bi, bj, pruned.astype(bool)
 
 
 def batch_score_global(

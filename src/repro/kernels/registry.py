@@ -152,6 +152,9 @@ class BatchKernelProvider:
     best_cell_local_affine: Callable = field(repr=False)
     score_global: Callable = field(repr=False)
     score_global_affine: Callable = field(repr=False)
+    #: ``(M, Np, table, open_, extend) -> {"elem", "isa"}``: the cell type
+    #: and ISA clone the best-local methods run for that call's shape.
+    variant: Callable = field(repr=False)
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -174,6 +177,7 @@ _NUMPY_BATCH = BatchKernelProvider(
     best_cell_local_affine=_batch.batch_best_cell_local_affine,
     score_global=_batch.batch_score_global,
     score_global_affine=_batch.batch_score_global_affine,
+    variant=lambda M, Np, table, open_, extend: {"elem": "int64", "isa": "numpy"},
 )
 
 # tier -> batch provider; "compiled" entry added by _detect().
@@ -329,6 +333,10 @@ def _parity_cases() -> List[Tuple[str, Callable[[Any], bool]]]:
     lanes = [rng_b, rng_b[:13], rng_b[5:17], rng_b[:0], rng_b[2:9]]
     b_pack, b_lens = _batch.pack_lanes(lanes)
     floor = 30
+    wide_pack, wide_lens = _batch.pack_lanes(
+        [rng_b[k % 7:k % 7 + (k * 5) % 14] for k in range(21)]
+    )
+    big = table << 28
     cases += [
         (
             "batch.best_cell_local",
@@ -368,6 +376,27 @@ def _parity_cases() -> List[Tuple[str, Callable[[Any], bool]]]:
                 comp.batch_best_cell_local_affine(
                     rng_a, b_pack, b_lens, table, open_, extend, floor=floor
                 ),
+            ),
+        ),
+        (
+            # more than one 16-lane block, the last one partly filled
+            "batch.best_cell_local_affine.wide",
+            lambda: eq(
+                _batch.batch_best_cell_local_affine(
+                    rng_a, wide_pack, wide_lens, table, open_, extend, floor=floor
+                ),
+                comp.batch_best_cell_local_affine(
+                    rng_a, wide_pack, wide_lens, table, open_, extend, floor=floor
+                ),
+            ),
+        ),
+        (
+            # scores too large for int32 cells: the int64 instance
+            "batch.best_cell_local.int64",
+            lambda: comp.batch_elem(m, wide_pack.shape[1], big, gap, gap) == "int64"
+            and eq(
+                _batch.batch_best_cell_local(rng_a, wide_pack, wide_lens, big, gap),
+                comp.batch_best_cell_local(rng_a, wide_pack, wide_lens, big, gap),
             ),
         ),
         (
@@ -482,6 +511,7 @@ def _detect() -> None:
         best_cell_local_affine=comp.batch_best_cell_local_affine,
         score_global=comp.batch_score_global,
         score_global_affine=comp.batch_score_global_affine,
+        variant=comp.batch_variant,
     )
 
 

@@ -19,7 +19,7 @@ The service surfaces this as the streaming ``search`` op; the CLI as
 ``fastlsa index`` / ``fastlsa search``.
 """
 
-from .bounds import QueryProfile, candidate_bounds, index_bounds, pair_bound
+from .bounds import candidate_bounds, index_bounds, pair_bound
 from .engine import SearchHit, SearchResult, SearchStats, search
 from .index import INDEX_MAGIC, INDEX_VERSION, CorpusIndex, load_index
 
@@ -27,7 +27,6 @@ __all__ = [
     "CorpusIndex",
     "INDEX_MAGIC",
     "INDEX_VERSION",
-    "QueryProfile",
     "SearchHit",
     "SearchResult",
     "SearchStats",

@@ -48,82 +48,33 @@ from ..errors import ConfigError
 from ..scoring.scheme import ScoringScheme
 
 __all__ = [
-    "QueryProfile",
     "candidate_bounds",
     "descending_order",
     "index_bounds",
     "pair_bound",
+    "row_top_sums",
 ]
 
 
-def _top_sum(values: np.ndarray, counts: np.ndarray, limit: int) -> int:
-    """Sum of the ``limit`` largest elements of the multiset
-    ``{values[i] × counts[i]}`` (values non-negative, counts ≥ 0)."""
-    if limit <= 0:
-        return 0
-    order = np.argsort(values, kind="stable")[::-1]
-    total = 0
-    remaining = limit
-    for i in order:
-        v = int(values[i])
-        if v <= 0 or remaining <= 0:
-            break
-        take = min(int(counts[i]), remaining)
-        total += v * take
-        remaining -= take
-    return total
+def row_top_sums(values: np.ndarray, counts: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Per row ``r``: the sum of the ``limit[r]`` largest elements of the
+    multiset ``{values[r, k] × counts[r, k]}``.
 
-
-class QueryProfile:
-    """Per-query precomputation shared across every candidate bound.
-
-    Built once per search; each :meth:`bound` call is then ``O(|Σ|²)``
-    with tiny constants (|Σ| is 4 for DNA, ≤ 24 for protein).
+    One vectorised pass: sort each row's values descending, ``cumsum``
+    the counts in that order, clip the running total to the row's limit
+    and weight each value by what its step added.  Values must be
+    non-negative, counts and limits ``≥ 0``; returns ``int64`` of shape
+    ``(n,)``.
     """
-
-    def __init__(self, query_codes: np.ndarray, scheme: ScoringScheme) -> None:
-        table = np.asarray(scheme.matrix.table, dtype=np.int64)
-        a = len(scheme.alphabet)
-        if table.shape[0] < a or table.shape[1] < a:
-            raise ConfigError(
-                f"scoring table {table.shape} smaller than alphabet size {a}"
-            )
-        self.alphabet_size = a
-        self.s_plus = np.maximum(table[:a, :a], 0)
-        self.m = len(query_codes)
-        self.counts = np.bincount(
-            np.asarray(query_codes, dtype=np.int64), minlength=a
-        )[:a]
-        present = self.counts > 0
-        # target-capped per-symbol ceiling: best positive score any query
-        # residue can reach against target symbol y
-        if present.any():
-            self.vt = self.s_plus[present].max(axis=0)
-        else:
-            self.vt = np.zeros(a, dtype=np.int64)
-        self.diag = np.diagonal(self.s_plus).copy()
-        off = self.s_plus.copy()
-        np.fill_diagonal(off, 0)
-        self.offmax = int(off.max()) if a > 1 else 0
-
-    def bound(self, target_counts: np.ndarray, target_length: int) -> int:
-        """min(query-capped, target-capped, diagonal-refined), clamped at 0."""
-        limit = min(self.m, int(target_length))
-        if limit <= 0:
-            return 0
-        present = target_counts > 0
-        if not present.any():
-            return 0
-        # query-capped: best score of each query symbol vs anything present
-        vq = self.s_plus[:, present].max(axis=1)
-        bound_q = _top_sum(vq, self.counts, limit)
-        bound_t = _top_sum(self.vt, target_counts, limit)
-        # diagonal-refined: equal-symbol pairs are scarce, unequal pairs flat
-        mins = np.minimum(self.counts, target_counts)
-        values = np.concatenate((self.diag, [self.offmax]))
-        counts = np.concatenate((mins, [limit]))
-        bound_d = _top_sum(values, counts, limit)
-        return max(0, min(bound_q, bound_t, bound_d))
+    values = np.asarray(values, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    order = np.argsort(-values, axis=1)
+    taken = np.minimum(
+        np.cumsum(np.take_along_axis(counts, order, axis=1), axis=1),
+        np.maximum(np.asarray(limit, dtype=np.int64), 0)[:, None],
+    )
+    steps = np.diff(taken, axis=1, prepend=0)
+    return (np.take_along_axis(values, order, axis=1) * steps).sum(axis=1)
 
 
 def candidate_bounds(
@@ -133,13 +84,37 @@ def candidate_bounds(
     scheme: ScoringScheme,
 ) -> np.ndarray:
     """Upper bounds for every candidate: ``int64`` array, one per row of
-    ``histograms``."""
-    profile = QueryProfile(query_codes, scheme)
-    n = len(lengths)
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        out[i] = profile.bound(histograms[i], int(lengths[i]))
-    return out
+    ``histograms``.
+
+    min(query-capped, target-capped, diagonal-refined), clamped at 0, for
+    all rows in one numpy pass over the ``(n, |Σ|)`` histogram matrix.
+    """
+    table = np.asarray(scheme.matrix.table, dtype=np.int64)
+    a = len(scheme.alphabet)
+    if table.shape[0] < a or table.shape[1] < a:
+        raise ConfigError(
+            f"scoring table {table.shape} smaller than alphabet size {a}"
+        )
+    s_plus = np.maximum(table[:a, :a], 0)
+    q_counts = np.bincount(np.asarray(query_codes, dtype=np.int64), minlength=a)[:a]
+    hist = np.asarray(histograms, dtype=np.int64).reshape(-1, a)
+    limit = np.minimum(len(query_codes), np.asarray(lengths, dtype=np.int64))
+
+    # query-capped: best score of each query symbol vs anything present
+    # (S⁺ ≥ 0, so masking absent target symbols to 0 leaves the max)
+    vq = (s_plus[None, :, :] * (hist > 0)[:, None, :]).max(axis=2)
+    bound_q = row_top_sums(vq, np.broadcast_to(q_counts, hist.shape), limit)
+    # target-capped: best positive score any query residue can reach
+    # against target symbol y
+    vt = s_plus[q_counts > 0].max(axis=0, initial=0)
+    bound_t = row_top_sums(np.broadcast_to(vt, hist.shape), hist, limit)
+    # diagonal-refined: equal-symbol pairs are scarce, unequal pairs flat
+    off = s_plus.copy()
+    np.fill_diagonal(off, 0)
+    values = np.append(np.diagonal(s_plus), off.max(initial=0))
+    counts = np.column_stack((np.minimum(q_counts, hist), limit))
+    bound_d = row_top_sums(np.broadcast_to(values, counts.shape), counts, limit)
+    return np.maximum(0, np.minimum(np.minimum(bound_q, bound_t), bound_d))
 
 
 def index_bounds(query, index, scheme: ScoringScheme) -> np.ndarray:
@@ -154,7 +129,7 @@ def pair_bound(query_text: str, target_text: str, scheme: ScoringScheme) -> int:
     t = scheme.encode(target_text)
     a = len(scheme.alphabet)
     counts = np.bincount(np.asarray(t, dtype=np.int64), minlength=a)[:a]
-    return QueryProfile(q, scheme).bound(counts, len(t))
+    return int(candidate_bounds(q, counts[None, :], np.array([len(t)]), scheme)[0])
 
 
 def descending_order(bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

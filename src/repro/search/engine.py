@@ -380,7 +380,9 @@ def _sweep_lanes(q_codes, index, scheme, batch, token, stats, kernel, cut):
     shared retry machinery); lanes the kernel retired against the floor
     ``cut`` are counted straight into ``stats.pruned`` (their true score
     is provably below the floor, so skipping them cannot change the
-    top-K, ties included).
+    top-K, ties included).  When tracing, the enclosing ``search.score``
+    span records the kernel variant every sweep ran (``batch_elem``,
+    ``batch_isa``).
     """
     results: List[Tuple[int, Optional[tuple], Optional[BaseException]]] = []
     ok: List[int] = []
@@ -399,6 +401,8 @@ def _sweep_lanes(q_codes, index, scheme, batch, token, stats, kernel, cut):
 
     provider = registry.get_batch_kernel(kernel)
     table = scheme.matrix.table
+    inst = obs.current()
+    span = inst.tracer.current_span() if inst is not None else None
     # Length-compatible sub-buckets: longest-first, cut when the next
     # target is under half the bucket's longest lane.
     order = sorted(ok, key=lambda i: -int(index.lengths[i]))
@@ -414,6 +418,12 @@ def _sweep_lanes(q_codes, index, scheme, batch, token, stats, kernel, cut):
     for group in groups:
         pack, lens = _batchdp.pack_lanes([index.codes_for(i) for i in group])
         B, Np = pack.shape
+        if span is not None:
+            v = provider.variant(len(q_codes), Np, table, scheme.gap_open,
+                                 scheme.gap_extend)
+            elems = set(span.attrs.get("batch_elem", "").split(",")) - {""}
+            span.set(batch_elem=",".join(sorted(elems | {v["elem"]})),
+                     batch_isa=v["isa"])
         with registry.use(kernel):
             if scheme.is_linear:
                 s, bi, bj, pr = provider.best_cell_local(
@@ -425,7 +435,7 @@ def _sweep_lanes(q_codes, index, scheme, batch, token, stats, kernel, cut):
                     scheme.gap_extend, floor=cut,
                 )
         obs.counter_add("search.batch.sweeps")
-        obs.observe("search.batch.lane_occupancy", B / max(len(batch), 1))
+        obs.observe("search.batch.lane_occupancy", _batchdp.lane_occupancy(B))
         obs.observe(
             "search.batch.pad_waste",
             1.0 - int(lens.sum()) / max(B * Np, 1),

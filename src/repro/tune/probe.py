@@ -54,9 +54,10 @@ BASE_SWEEP_QUICK = (16_384, 262_144)
 #: problem collapsing into one dense base case.
 PROBE_BASE_CELLS = 4_096
 
-#: Lane counts the batch-kernel sweep visits (1 is the per-pair baseline).
-BATCH_LANE_POINTS = (1, 8, 32, 64)
-BATCH_LANE_POINTS_QUICK = (1, 8, 32)
+#: Lane counts the batch-kernel sweep visits (1 is the per-pair baseline);
+#: the others fill whole 16-lane blocks of the compiled best-local kernel.
+BATCH_LANE_POINTS = (1, 16, 32, 64)
+BATCH_LANE_POINTS_QUICK = (1, 16, 32)
 
 
 def _median_time(fn: Callable[[], object], repeats: int) -> float:
@@ -210,6 +211,14 @@ def calibrate(
             tier_curves[kind] = curve
         batch[tier] = tier_curves
 
+    # The best-local variant ({"elem", "isa"}) the batch probe ran per tier.
+    widest = max(len(t) for t in target_texts)
+    info["batch_kernel"] = {
+        tier: registry.get_batch_kernel(tier).variant(
+            len(batch_query), widest, aff.matrix.table, aff.gap_open, aff.gap_extend
+        )
+        for tier in batch
+    }
     info["fingerprint"] = host_fingerprint(info)
     return CalibrationProfile(
         host=info,

@@ -18,7 +18,7 @@ from repro.core.batch import batch_align
 from repro.core.local import local_best_cell
 from repro.core.score_only import align_score
 from repro.kernels import batchdp, registry
-from repro.scoring import ScoringScheme, affine_gap, dna_simple, linear_gap
+from repro.scoring import ScoringScheme, affine_gap, blosum62, dna_simple, linear_gap
 from repro.search.engine import search
 from repro.search.index import CorpusIndex
 
@@ -238,6 +238,138 @@ class TestCompiledBatchParity:
             np.testing.assert_array_equal(got, want)
 
 
+def _three_way(scheme, a, targets, floor=None, table=None):
+    """Run compiled batch, numpy batch and per-pair on one pack; return
+    ``(compiled, numpy, per_pair)`` with per-pair as an ``(3, B)`` array."""
+    table = scheme.matrix.table if table is None else table
+    a_codes = _codes(scheme, a)
+    codes = [_codes(scheme, t) for t in targets]
+    pack, lens = batchdp.pack_lanes(codes)
+    out = []
+    for tier in ("compiled", "numpy"):
+        p = registry.get_batch_kernel(tier)
+        if scheme.is_linear:
+            out.append(p.best_cell_local(a_codes, pack, lens, table,
+                                         scheme.gap_open, floor=floor))
+        else:
+            out.append(p.best_cell_local_affine(a_codes, pack, lens, table,
+                                                scheme.gap_open, scheme.gap_extend,
+                                                floor=floor))
+    kind = "linear" if scheme.is_linear else "affine"
+    per_pair = registry.get_kernel(kind, "numpy").best_cell_local
+    gaps = (scheme.gap_open,) if scheme.is_linear else (scheme.gap_open,
+                                                          scheme.gap_extend)
+    want = np.array([per_pair(a_codes, c, table, *gaps) for c in codes]).T
+    return out[0], out[1], want.reshape(3, len(targets))
+
+
+def _assert_exact(compiled, numpy_out, want):
+    """Compiled == numpy word for word, and every live lane == per-pair.
+    Returns the true per-pair scores of the retired lanes."""
+    for g, w in zip(compiled, numpy_out):
+        np.testing.assert_array_equal(g, w)  # word-identical, pruned mask too
+    score, bi, bj, pruned = compiled
+    live = ~pruned
+    np.testing.assert_array_equal(score[live], want[0][live])
+    np.testing.assert_array_equal(bi[live], want[1][live])
+    np.testing.assert_array_equal(bj[live], want[2][live])
+    return want[0][pruned]
+
+
+@needs_compiled
+class TestLaneInnerKernel:
+    """The compiled best-local kernels sweep 16-lane blocks with the lane
+    innermost; every block edge, retirement pattern and cell type must
+    stay word-identical to numpy batchdp and per-pair."""
+
+    @pytest.mark.parametrize("B", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("scheme", [LIN, AFF], ids=["linear", "affine"])
+    def test_block_edges_ragged_and_empty_lanes(self, scheme, B):
+        rng = random.Random(100 + B)
+        for trial in range(3):
+            a = _rand_seq(rng, 1, 70)
+            targets = [_rand_seq(rng, 0, 90) if k % 5 else "" for k in range(B)]
+            got, ref, want = _three_way(scheme, a, targets)
+            assert not got[3].any()
+            _assert_exact(got, ref, want)
+
+    @pytest.mark.parametrize("scheme", [LIN, AFF], ids=["linear", "affine"])
+    def test_floor_retires_some_lanes(self, scheme):
+        rng = random.Random(71)
+        retired = 0
+        for trial in range(6):
+            a = _rand_seq(rng, 20, 60)
+            targets = [_rand_seq(rng, 0, 80) for _ in range(rng.choice([17, 33]))]
+            floor = rng.randint(15, 45)
+            got, ref, want = _three_way(scheme, a, targets, floor=floor)
+            below = _assert_exact(got, ref, want)
+            assert (below < floor).all()  # a retired lane never reaches it
+            retired += int(got[3].sum())
+        assert retired > 0
+
+    @pytest.mark.parametrize("scheme", [LIN, AFF], ids=["linear", "affine"])
+    def test_floor_retires_every_lane_mid_sweep(self, scheme):
+        rng = random.Random(73)
+        a = _rand_seq(rng, 40, 50)
+        targets = [_rand_seq(rng, 0, 60) for _ in range(20)]
+        _, _, want = _three_way(scheme, a, targets)
+        # one match score above the best lane: by row M-1 at the latest no
+        # lane's cap reaches the floor, so every lane (empty ones too)
+        # retires, the short ones long before the last row
+        floor = int(want[0].max()) + 6
+        got, ref, want = _three_way(scheme, a, targets, floor=floor)
+        assert got[3].all()
+        _assert_exact(got, ref, want)
+        assert (got[0] < want[0]).any()  # stopped short of its true best
+
+    def test_tied_maxima_keep_first_row_major_cell(self):
+        # the query's one ACGT scores 20 at two cells of each target
+        targets = ["ACGTCCCCACGT", "GGGGACGTACGT", "ACGT", ""] * 5
+        got, ref, want = _three_way(LIN, "ACGT", targets)
+        _assert_exact(got, ref, want)
+        assert got[0][:2].tolist() == [20, 20]
+        assert got[2][:2].tolist() == [4, 8]  # the first of each tie
+
+    @pytest.mark.parametrize("floor", [None, 40])
+    def test_blosum62_affine(self, floor):
+        from tests.conftest import random_protein
+
+        scheme = ScoringScheme(blosum62(), affine_gap(-11, -1))
+        rng = np.random.default_rng(79)
+        a = random_protein(rng, 60)
+        targets = [random_protein(rng, int(rng.integers(0, 90))) for _ in range(19)]
+        targets[3] = a[10:50]  # one homolog well above the floor
+        got, ref, want = _three_way(scheme, a, targets, floor=floor)
+        _assert_exact(got, ref, want)
+        assert not got[3][3]
+
+    @pytest.mark.parametrize("scheme", [LIN, AFF], ids=["linear", "affine"])
+    def test_large_scores_take_the_int64_instance(self, scheme):
+        from repro.kernels import compiled
+
+        table = scheme.matrix.table * (1 << 26)
+        rng = random.Random(83)
+        a = _rand_seq(rng, 30, 40)
+        targets = [_rand_seq(rng, 0, 50) for _ in range(18)]
+        targets[0] = a
+        assert compiled.batch_elem(len(a), 50, scheme.matrix.table,
+                                   scheme.gap_open, scheme.gap_extend) == "int32"
+        assert compiled.batch_elem(len(a), 50, table,
+                                   scheme.gap_open, scheme.gap_extend) == "int64"
+        got, ref, want = _three_way(scheme, a, targets, table=table)
+        _assert_exact(got, ref, want)
+        assert got[0][0] == 5 * len(a) * (1 << 26)  # beyond int32 range
+
+
+class TestLaneOccupancy:
+    def test_filled_over_swept_simd_lanes(self):
+        assert batchdp.lane_occupancy(16) == 1.0
+        assert batchdp.lane_occupancy(1) == 1 / 16
+        assert batchdp.lane_occupancy(17) == 17 / 32
+        assert batchdp.lane_occupancy(33) == 33 / 48
+        assert batchdp.lane_occupancy(0) == 0.0
+
+
 class TestSearchBatchDifferential:
     """Forcing the search tier-2 batch path must not change any result."""
 
@@ -315,7 +447,8 @@ class TestObservability:
         snap = inst.metrics.snapshot()
         assert snap["batch.sweeps"] >= 1
         assert snap["batch.lane_occupancy"]["count"] >= 1
-        assert 0.0 < snap["batch.lane_occupancy"]["max"] <= 1.0
+        # at most 8 filled lanes of a 16-lane block
+        assert 0.0 < snap["batch.lane_occupancy"]["max"] <= 0.5
         assert snap["batch.pad_waste"]["count"] >= 1
         assert 0.0 <= snap["batch.pad_waste"]["max"] < 1.0
 
@@ -330,5 +463,14 @@ class TestObservability:
             search(q, idx, LIN, top_k=5, lanes=16)
         snap = inst.metrics.snapshot()
         assert snap["search.batch.sweeps"] >= 1
-        assert snap["search.batch.lane_occupancy"]["count"] >= 1
+        occ = snap["search.batch.lane_occupancy"]
+        assert occ["count"] >= 1
+        assert 1 / 16 <= occ["min"] <= occ["max"] <= 1.0
         assert snap["search.batch.pad_waste"]["count"] >= 1
+        # the score span names the kernel variant the sweeps ran
+        attrs = inst.tracer.find("search.score")[0].attrs
+        if HAS_COMPILED:
+            assert attrs["batch_elem"] == "int32"
+            assert attrs["batch_isa"] in ("avx2", "default")
+        else:
+            assert (attrs["batch_elem"], attrs["batch_isa"]) == ("int64", "numpy")

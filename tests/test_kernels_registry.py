@@ -116,10 +116,13 @@ class TestParityReport:
         rep = registry.parity_report()
         assert rep["parity_ok"] is True
         # 12 per-pair checks (the best-cell sweep both clamped and
-        # unclamped) + 6 batch-kernel checks.
-        assert len(rep["checks"]) == 18
+        # unclamped) + 8 batch-kernel checks (a multi-block pack and the
+        # int64 instance among them).
+        assert len(rep["checks"]) == 20
         names = {c["name"] for c in rep["checks"]}
         assert {"linear.best_cell_global", "affine.best_cell_global"} <= names
+        assert {"batch.best_cell_local_affine.wide",
+                "batch.best_cell_local.int64"} <= names
         assert all(c["ok"] for c in rep["checks"])
 
     @needs_compiled

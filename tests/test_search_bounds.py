@@ -13,10 +13,11 @@ import pytest
 from repro import smith_waterman
 from repro.search import CorpusIndex
 from repro.search.bounds import (
-    QueryProfile,
+    candidate_bounds,
     descending_order,
     index_bounds,
     pair_bound,
+    row_top_sums,
 )
 from tests.conftest import random_dna, random_protein
 
@@ -24,24 +25,38 @@ LENGTH_PAIRS = [(5, 40), (30, 30), (60, 20), (80, 80), (1, 50), (45, 3)]
 
 
 class TestTopSum:
-    def test_takes_largest_first(self):
-        from repro.search.bounds import _top_sum
+    """``row_top_sums``: one row per candidate, each its own limit."""
 
-        values = np.array([5, 3, 8])
-        counts = np.array([2, 10, 1])
+    @staticmethod
+    def one(values, counts, limit):
+        return int(row_top_sums(np.array([values]), np.array([counts]),
+                                np.array([limit]))[0])
+
+    def test_takes_largest_first(self):
         # best 4: one 8, two 5s, one 3
-        assert _top_sum(values, counts, 4) == 8 + 5 + 5 + 3
+        assert self.one([5, 3, 8], [2, 10, 1], 4) == 8 + 5 + 5 + 3
 
     def test_zero_limit_and_nonpositive_values(self):
-        from repro.search.bounds import _top_sum
-
-        assert _top_sum(np.array([5]), np.array([3]), 0) == 0
-        assert _top_sum(np.array([0, 0]), np.array([9, 9]), 5) == 0
+        assert self.one([5], [3], 0) == 0
+        assert self.one([0, 0], [9, 9], 5) == 0
 
     def test_counts_exhaust_before_limit(self):
-        from repro.search.bounds import _top_sum
+        assert self.one([7], [2], 100) == 14
 
-        assert _top_sum(np.array([7]), np.array([2]), 100) == 14
+    def test_rows_are_independent(self):
+        values = np.array([[5, 3, 8], [5, 3, 8], [4, 4, 0], [9, 1, 2], [6, 6, 6]])
+        counts = np.array([[2, 10, 1], [2, 10, 1], [0, 0, 0], [3, 3, 3], [1, 1, 1]])
+        limit = np.array([4, 0, 7, 50, 2])
+        # limit 0, an all-zero histogram, a limit above the count, a tie
+        assert row_top_sums(values, counts, limit).tolist() == [21, 0, 0, 36, 12]
+
+    def test_matches_sequential_greedy(self, rng):
+        values = rng.integers(0, 12, size=(60, 6))
+        counts = rng.integers(0, 5, size=(60, 6))
+        limit = rng.integers(0, 25, size=60)
+        for r, got in enumerate(row_top_sums(values, counts, limit)):
+            pool = sorted(np.repeat(values[r], counts[r]).tolist(), reverse=True)
+            assert got == sum(pool[:limit[r]])
 
 
 class TestAdmissibility:
@@ -111,10 +126,10 @@ class TestIndexBounds:
         assert bounds.tolist() == [pair_bound(q, t, dna_scheme) for t in records]
 
     def test_query_profile_reused_across_candidates(self, dna_scheme):
-        profile = QueryProfile(dna_scheme.encode("ACGT"), dna_scheme)
-        counts = np.array([1, 1, 1, 1])
-        assert profile.bound(counts, 4) == 20
-        assert profile.bound(np.zeros(4, dtype=int), 0) == 0
+        hist = np.array([[1, 1, 1, 1], [0, 0, 0, 0], [4, 0, 0, 0]])
+        bounds = candidate_bounds(dna_scheme.encode("ACGT"), hist,
+                                  np.array([4, 0, 4]), dna_scheme)
+        assert bounds.tolist() == [20, 0, 5]
 
 
 class TestDescendingOrder:

@@ -237,8 +237,15 @@ def test_quick_calibrate_produces_consumable_profile(tmp_path):
     profile = calibrate(quick=True, length=96, repeats=1)
     assert profile.quick and not profile.synthetic
     assert profile.serial_cells_per_s() > 0
+    # batch lane points fill whole 16-lane blocks; the host info names
+    # the best-local variant each probed tier ran
+    for tier, curves in profile.batch.items():
+        assert set(curves["linear"]) == {1, 16, 32}
+        variant = profile.host["batch_kernel"][tier]
+        assert variant["elem"] in ("int32", "int64")
+        assert variant["isa"] in (("numpy",) if tier == "numpy" else ("avx2", "default"))
     path = str(tmp_path / "cal.json")
     profile.save(path)
-    assert load_cached(path) is not None
+    assert load_cached(path).host["batch_kernel"] == profile.host["batch_kernel"]
     cfg, _ = autotune_config(AlignConfig(), 512, 512, profile=profile)
     assert cfg.backend in ("serial", "threads")
