@@ -288,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--gap-extend", type=int, default=None)
     p_search.add_argument("--backend", default=None,
                           choices=["serial", "threads"],
-                          help="candidate-scoring backend (default: serial)")
+                          help="FastLSA backend of the final top-K alignments "
+                               "(default: serial; candidate scoring always "
+                               "runs on the lane-packed batch kernels)")
     p_search.add_argument("--workers", type=int, default=None, metavar="P")
     p_search.add_argument("--tune", default=None, metavar="MODE",
                           help="hardware autotuning: 'auto', 'off', or a "
@@ -993,33 +995,22 @@ def _cmd_chaos(args) -> int:
 
 
 def _batch_kernel_report() -> dict:
-    """Per-tier batch kernel status for ``fastlsa kernels``: availability,
-    plus — when a calibration is cached — the measured lanes→cells/s
-    curve and the lane count the decision layer would auto-select."""
-    from .kernels import registry
-    from .tune import decision
-    from .tune.profile import load_cached
+    """Per-tier batch kernel status for ``fastlsa kernels``: the fixed
+    lane width and the best-local variant (``{"elem", "isa"}``) a
+    1000 × 1000 bp DNA pack runs on this CPU."""
+    from .kernels import batchdp, registry
+    from .scoring.dna import dna_simple
 
-    profile = load_cached()
-    report: dict = {"calibrated": profile is not None}
+    table = dna_simple().table
     tiers = {}
     for tier in registry.available_tiers():
-        try:
-            provider = registry.get_batch_kernel(tier)
-        except Exception:  # pragma: no cover - defensive
-            continue
-        entry: dict = {"available": True, "compiled": provider.compiled}
-        for kind in ("linear", "affine"):
-            curve = profile.batch_curve(tier, kind) if profile else {}
-            entry[kind] = {
-                "calibrated_cells_per_s": {
-                    str(b): v for b, v in sorted(curve.items())
-                },
-                "auto_lanes": decision.batch_lanes(profile, tier, kind),
-            }
-        tiers[tier] = entry
-    report["tiers"] = tiers
-    return report
+        provider = registry.get_batch_kernel(tier)
+        tiers[tier] = {
+            "compiled": provider.compiled,
+            "lanes": batchdp.BATCH_LANES,
+            "variant": provider.variant(1000, 1000, table, -10, -1),
+        }
+    return {"tiers": tiers}
 
 
 def _cmd_kernels(args) -> int:
@@ -1049,18 +1040,9 @@ def _cmd_kernels(args) -> int:
     say("")
     say("batch kernels (lane-packed many-pair DP):")
     for tier, entry in batch["tiers"].items():
-        for kind in ("linear", "affine"):
-            curve = entry[kind]["calibrated_cells_per_s"]
-            lanes = entry[kind]["auto_lanes"]
-            if curve:
-                pts = ", ".join(
-                    f"B={b}: {v / 1e6:.0f}M" for b, v in curve.items()
-                )
-                detail = f"measured [{pts}] cells/s"
-            else:
-                detail = "not calibrated (run `fastlsa calibrate`)"
-            pick = f"auto_lanes={lanes}" + ("" if lanes else " (per-pair wins)")
-            say(f"  {tier:9s} {kind:6s} {pick:18s} {detail}")
+        v = entry["variant"]
+        say(f"  {tier:9s} lanes={entry['lanes']} "
+            f"variant elem={v['elem']} isa={v['isa']}")
     say("")
     parity = info["parity"]
     if parity["checks"]:

@@ -2,9 +2,11 @@
 
 The homology-search workload: rank a database by alignment score, keep
 the top hits, and only materialise full alignments for those.  Scoring
-uses the ``O(n)``-memory FindScore sweep; the final alignments run under
-the configured FastLSA budget.  Mode selection covers global, local and
-the ends-free variants.
+``local`` and unbanded ``global`` runs through the lane-packed batch
+kernels, :data:`~repro.kernels.batchdp.BATCH_LANES` targets per pack; the
+other modes use the ``O(n)``-memory per-pair sweeps.  The final
+alignments run under the configured FastLSA budget.  Mode selection
+covers global, local and the ends-free variants.
 """
 
 from __future__ import annotations
@@ -108,35 +110,19 @@ def _quick_score(query, target, scheme, mode, cfg) -> int:
     return int(best)
 
 
-def _resolve_lanes(lanes, cfg, scheme, tier) -> int:
-    """Lane count for the batch route: explicit ``lanes`` wins; ``None``
-    consults the calibration curves (default 32 when never calibrated,
-    0 — per-pair — where the measured curve shows batch losing)."""
-    if lanes is not None:
-        if lanes < 0:
-            raise ConfigError(f"lanes must be >= 0, got {lanes}")
-        return 0 if lanes == 1 else lanes
-    from ..tune import decision
-    from ..tune.profile import load_profile
-
-    profile = load_profile(getattr(cfg, "tune", None))
-    kind = "linear" if scheme.is_linear else "affine"
-    return decision.batch_lanes(profile, tier, kind)
-
-
-def _lane_groups(lengths, lanes):
+def _lane_groups(lengths):
     """Length-compatible lane groups (indices), longest first.
 
     A new group starts when the next (shorter) target drops below
     :data:`_LANE_LENGTH_RATIO` of the group's longest member, or the
-    group reaches ``lanes`` members.
+    group reaches :data:`~repro.kernels.batchdp.BATCH_LANES` members.
     """
     order = sorted(range(len(lengths)), key=lambda i: (-lengths[i], i))
     groups: List[List[int]] = []
     for idx in order:
         if (
             groups
-            and len(groups[-1]) < lanes
+            and len(groups[-1]) < batchdp.BATCH_LANES
             and lengths[idx] >= _LANE_LENGTH_RATIO * lengths[groups[-1][0]]
         ):
             groups[-1].append(idx)
@@ -145,13 +131,13 @@ def _lane_groups(lengths, lanes):
     return groups
 
 
-def _score_lanes(q, seqs, scheme, mode, cfg, tier, lanes):
-    """Lane-packed scoring sweep: all targets, ``lanes`` at a time.
+def _score_lanes(q, seqs, scheme, mode, tier):
+    """Lane-packed scoring sweep: all targets, ``BATCH_LANES`` at a time.
 
-    Bit-identical to the per-pair loop in :func:`_score_all` — the batch
-    kernels are parity-gated against the per-pair providers, and the
-    local-mode best-cell triple (fed to :func:`fastlsa_local` as a hint)
-    carries the same tie-breaking.
+    Bit-identical to per-pair :func:`local_best_cell` / :func:`align_score`
+    — the batch kernels are parity-gated against the per-pair providers,
+    and the local-mode best-cell triple (fed to :func:`fastlsa_local` as a
+    hint) carries the same tie-breaking.
     """
     q_codes = scheme.encode(q.text)
     t_codes = [scheme.encode(s.text) for s in seqs]
@@ -159,7 +145,7 @@ def _score_lanes(q, seqs, scheme, mode, cfg, tier, lanes):
     provider = registry.get_batch_kernel(tier)
     scores: List[int] = [0] * len(seqs)
     cells: List[Optional[tuple]] = [None] * len(seqs)
-    for group in _lane_groups([len(t) for t in t_codes], lanes):
+    for group in _lane_groups([len(t) for t in t_codes]):
         pack, lens = batchdp.pack_lanes([t_codes[i] for i in group])
         B, Np = pack.shape
         obs.counter_add("batch.sweeps")
@@ -193,27 +179,24 @@ def _score_lanes(q, seqs, scheme, mode, cfg, tier, lanes):
     return scores, cells
 
 
-def _score_all(q, seqs, scheme, mode, cfg, executor, max_workers, lanes=None):
-    """Score every target, optionally fanning out on a thread pool.
+def _score_all(q, seqs, scheme, mode, cfg, executor, max_workers):
+    """Score every target.
 
     Returns ``(scores, cells)``; ``cells[i]`` is the local-mode best-cell
     hint for target ``i`` (``None`` outside local mode).
 
-    Sequential homogeneous workloads — ``local`` mode, or ``global`` with
-    no band — route through the lane-packed batch kernels when the
-    decision layer (or an explicit ``lanes=``) says batching pays; the
-    other modes and all pool paths keep the per-pair loop.
+    ``local`` mode and unbanded ``global`` mode with two or more targets
+    always take the lane-packed batch kernels.  The modes without a lane
+    kernel (``semiglobal``, ``overlap``, banded ``global``) and a lone
+    target keep the per-pair loop, fanned out on ``executor`` or a
+    private ``max_workers`` pool when one is given.
     """
-    tier = registry.resolve_tier(getattr(cfg, "kernel", None))
-
-    if executor is None and max_workers is None and len(seqs) > 1:
-        batchable = mode == "local" or (
-            mode == "global" and getattr(cfg, "band", None) is None
-        )
-        if batchable:
-            n_lanes = _resolve_lanes(lanes, cfg, scheme, tier)
-            if n_lanes > 1:
-                return _score_lanes(q, seqs, scheme, mode, cfg, tier, n_lanes)
+    batchable = mode == "local" or (
+        mode == "global" and getattr(cfg, "band", None) is None
+    )
+    if batchable and len(seqs) > 1:
+        tier = registry.resolve_tier(getattr(cfg, "kernel", None))
+        return _score_lanes(q, seqs, scheme, mode, tier)
 
     def one(t):
         return _quick_score_cell(q, t, scheme, mode, cfg)
@@ -243,7 +226,6 @@ def batch_align(
     config: Optional[AlignConfig] = None,
     executor: Optional[ThreadPoolExecutor] = None,
     max_workers: Optional[int] = None,
-    lanes: Optional[int] = None,
 ) -> List[BatchHit]:
     """Rank ``targets`` by alignment score against ``query``.
 
@@ -263,16 +245,12 @@ def batch_align(
         raise :class:`~repro.errors.ConfigError`.
     executor:
         Score targets concurrently on this shared pool (it is not shut
-        down); the service layer passes its worker pool here.
-    lanes:
-        Lane width for the vectorised batch scoring kernels on the
-        sequential path (``local`` mode, or ``global`` without a band).
-        ``None`` (default) consults the calibration profile; ``0`` or
-        ``1`` forces the per-pair loop; ``N >= 2`` forces ``N``-lane
-        packing.  Scores and hits are bit-identical either way.
+        down) in the modes without a lane kernel: ``semiglobal``,
+        ``overlap`` and banded ``global``.  ``local`` and unbanded
+        ``global`` always score through the lane-packed batch kernels.
 
     Without ``executor``, ``config.max_workers`` sizes a private pool for
-    the scoring sweep; ``None`` stays sequential.
+    the per-pair scoring sweep; ``None`` stays sequential.
 
     Returns hits sorted by descending score with ``rank`` starting at 1;
     only the top ``keep`` carry alignments.
@@ -285,9 +263,7 @@ def batch_align(
     q = as_sequence(query, "query")
     seqs = [as_sequence(t, f"target{i}") for i, t in enumerate(targets)]
 
-    scores, cells = _score_all(
-        q, seqs, scheme, mode, cfg, executor, cfg.max_workers, lanes=lanes
-    )
+    scores, cells = _score_all(q, seqs, scheme, mode, cfg, executor, cfg.max_workers)
     scored = sorted(
         ((s, idx) for idx, s in enumerate(scores)), key=lambda t: (-t[0], t[1])
     )

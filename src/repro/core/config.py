@@ -85,8 +85,10 @@ class AlignConfig(FastLSAConfig):
     Attributes
     ----------
     max_workers:
-        Thread fan-out for batch scoring sweeps
-        (:func:`repro.core.batch.batch_align`); ``None`` stays sequential.
+        Thread fan-out for the per-pair scoring sweeps of
+        :func:`repro.core.batch.batch_align` in the modes without a lane
+        kernel (``semiglobal``, ``overlap``, banded ``global``); ``None``
+        stays sequential.
         Also the worker count for the wavefront backends below.
     backend:
         Execution backend for the FillCache wavefront: ``"serial"``

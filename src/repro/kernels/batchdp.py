@@ -55,6 +55,7 @@ from .ops import OpCounter
 
 __all__ = [
     "SIMD_LANES",
+    "BATCH_LANES",
     "lane_occupancy",
     "pack_lanes",
     "batch_best_cell_local",
@@ -72,6 +73,12 @@ _PAD_PENALTY = np.int64(1) << 50
 #: into them by :mod:`repro.kernels._ckernels_build`).  A pack of ``B``
 #: targets sweeps ``SIMD_LANES * ceil(B / SIMD_LANES)`` lanes.
 SIMD_LANES = 16
+
+#: Targets per lane-packed pack on every batch scoring route (search
+#: tier 2 and :func:`repro.core.batch.batch_align`): two 16-lane blocks.
+#: Packs of two or more targets always take the lane kernels; measured
+#: against per-pair dispatch on both tiers, this width won every case.
+BATCH_LANES = 2 * SIMD_LANES
 
 
 def lane_occupancy(B: int) -> float:

@@ -9,13 +9,16 @@ Three tiers, cheapest first, each feeding the next only what survives:
    pruned in one comparison (bounds are sorted).  Pruning is strict
    (``bound < floor``), so ties always get scored and the result set is
    bit-identical to brute force.
-2. **score** — survivors pay one linear-space
-   :func:`~repro.core.local.local_best_cell` sweep (score + end cell, no
-   traceback), serially or fanned out on a thread pool
-   (``config.backend``).
+2. **score** — survivors are swept, bound-descending and
+   :data:`~repro.kernels.batchdp.BATCH_LANES` at a time, through the
+   lane-packed best-local batch kernel (score + end cell, no traceback),
+   in length-compatible buckets; lanes whose admissible cap drops below
+   the running floor retire mid-sweep.  A lone survivor takes the
+   per-pair :func:`~repro.core.local.local_best_cell` sweep instead.
 3. **align** — only the final K materialise full alignments, via
    :func:`~repro.core.local.fastlsa_local` with the tier-2 ``best_cell``
-   hint so the sweep is not repeated.
+   hint so the sweep is not repeated; ``config.backend`` drives their
+   FastLSA wavefront.
 
 Resilience: each candidate scores under the ``search.candidate.score``
 fault site with per-candidate retries (transient failures only); a
@@ -31,9 +34,7 @@ Ranking is total and deterministic: ``(-score, corpus position)``.
 from __future__ import annotations
 
 import heapq
-import os
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -53,9 +54,6 @@ from .bounds import candidate_bounds, descending_order
 from .index import CorpusIndex
 
 __all__ = ["SearchHit", "SearchResult", "SearchStats", "search"]
-
-#: Candidates scored per pool round-trip when a parallel backend is on.
-_PARALLEL_CHUNK = 32
 
 #: A lane-packed sub-bucket never mixes targets shorter than this
 #: fraction of the longest lane — bounds padding waste at 50%.
@@ -138,27 +136,6 @@ class SearchResult:
         }
 
 
-def _score_task_codes(q_codes, t_codes, scheme: ScoringScheme, kernel: str = "auto"):
-    """One tier-2 attempt: fault site + linear-space best-cell sweep.
-
-    The query is encoded once per search (it was already needed for the
-    bounds tier) and targets come straight from the index's code arrays
-    (:meth:`CorpusIndex.codes_for`, zero-copy views), so attempts skip
-    any text decode + re-encode.  ``kernel`` is the resolved kernel tier,
-    passed explicitly because pool threads do not inherit the caller's
-    registry context.
-    """
-    faults.inject(SITE_CANDIDATE_SCORE)
-    with registry.use(kernel):
-        return _best_cell_local(q_codes, t_codes, scheme, None)
-
-
-def _make_pool(backend: str, max_workers: Optional[int]) -> Optional[Executor]:
-    if backend == "threads":
-        return ThreadPoolExecutor(max_workers=max_workers or min(32, os.cpu_count() or 1))
-    return None
-
-
 def search(
     query,
     index: CorpusIndex,
@@ -172,8 +149,6 @@ def search(
     deadline: Optional[float] = None,
     token: Optional[cancel.CancelToken] = None,
     on_update: Optional[Callable[[List[SearchHit], SearchStats], None]] = None,
-    executor: Optional[Executor] = None,
-    lanes: Optional[int] = None,
 ) -> SearchResult:
     """Exact top-``top_k`` local alignment of ``query`` against an index.
 
@@ -188,9 +163,11 @@ def search(
         Hits to keep (``>= 1``).  Fewer may return if the corpus has
         fewer candidates scoring ``>= min_score``.
     config:
-        :class:`AlignConfig`; ``backend`` picks the tier-2 scoring
-        executor (``serial`` | ``threads``) and
-        ``k`` / ``base_cells`` parameterize the final alignments.
+        :class:`AlignConfig` for the final top-K alignments: ``backend``
+        (``serial`` | ``threads``), ``k`` and ``base_cells`` parameterize
+        their FastLSA runs, and ``kernel`` picks the tier every sweep
+        (tier 2 included) runs on.  Tier 2 always takes the lane-packed
+        batch kernel whatever the backend.
     min_score:
         Hits must score at least this (default 1: empty matches are not
         hits).
@@ -210,23 +187,6 @@ def search(
         Streaming hook: called with ``(top hits snapshot, stats)`` each
         time top-K membership changes (snapshots have no alignments);
         the NDJSON ``search`` op turns these into partial frames.
-    executor:
-        Use this pool for tier 2 instead of building one from
-        ``config.backend`` (it is not shut down — the service passes its
-        worker pool here).
-    lanes:
-        Tier-2 lane width for the serial backend: survivors are swept
-        through the lane-packed batch kernel in bound-descending,
-        length-compatible buckets of up to this many targets, with lanes
-        whose admissible score cap drops below the running top-K floor
-        retired mid-sweep (still bit-identical results — the cap is a
-        true upper bound and retirement is strict).  ``None`` (default)
-        consults the calibration profile via
-        :func:`repro.tune.decision.batch_lanes` — batch is never chosen
-        where its measured curve loses to per-pair dispatch — falling
-        back to a fixed default width when uncalibrated; ``0`` forces
-        per-pair scoring; ``N >= 2`` forces that width.  Parallel
-        backends ignore this (the pool path stays per-pair).
     """
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
@@ -242,21 +202,13 @@ def search(
     if token is None:
         token = cancel.CancelToken.after(deadline)
 
-    backend = cfg.backend or "serial"
-    own_pool = executor is None and backend != "serial"
-    pool = executor if executor is not None else _make_pool(backend, cfg.max_workers)
-
     stats = SearchStats(candidates=len(index))
     t0 = time.perf_counter()
-    try:
-        with obs.span("search.query", query=q.name, candidates=len(index), top_k=top_k):
-            result = _run_search(
-                q, index, scheme, top_k, cfg, min_score, retries,
-                allow_partial, token, on_update, pool, stats, lanes,
-            )
-    finally:
-        if own_pool and pool is not None:
-            pool.shutdown(wait=True)
+    with obs.span("search.query", query=q.name, candidates=len(index), top_k=top_k):
+        result = _run_search(
+            q, index, scheme, top_k, cfg, min_score, retries,
+            allow_partial, token, on_update, stats,
+        )
     stats.wall_time = time.perf_counter() - t0
     obs.counter_add("search.queries")
     obs.counter_add("search.candidates", stats.candidates)
@@ -266,32 +218,9 @@ def search(
     return result
 
 
-def _resolve_lanes(lanes, cfg, scheme, pool) -> int:
-    """Tier-2 lane width: explicit request > measured curves > default.
-
-    Returns 0 (per-pair scoring) for parallel backends — the batch path
-    is the *serial* fast path; pools already amortise dispatch their own
-    way — and whenever the calibration profile's measured batch curve
-    never beats per-pair dispatch on this host.
-    """
-    if pool is not None:
-        return 0
-    if lanes is not None:
-        if lanes < 0:
-            raise ConfigError(f"lanes must be >= 0, got {lanes}")
-        return 0 if lanes == 1 else int(lanes)
-    from ..tune import decision as _decision
-    from ..tune.profile import load_profile
-
-    profile = load_profile(getattr(cfg, "tune", None))
-    tier = registry.resolve_tier(getattr(cfg, "kernel", None))
-    kind = "linear" if scheme.is_linear else "affine"
-    return _decision.batch_lanes(profile, tier, kind)
-
-
 def _run_search(
     q, index, scheme, top_k, cfg, min_score, retries,
-    allow_partial, token, on_update, pool, stats, lanes=None,
+    allow_partial, token, on_update, stats,
 ):
     with obs.span("search.bounds", candidates=len(index)):
         q_codes = scheme.encode(q.text)
@@ -303,8 +232,7 @@ def _run_search(
     # the entry a better-ranked newcomer should displace.
     heap: List[Tuple[int, int]] = []
     scored: dict = {}  # corpus_index -> (score, best_cell)
-    lanes = _resolve_lanes(lanes, cfg, scheme, pool)
-    chunk = (lanes if lanes > 1 else 1) if pool is None else _PARALLEL_CHUNK
+    chunk = _batchdp.BATCH_LANES
     kernel = registry.resolve_tier(getattr(cfg, "kernel", None))
 
     def floor() -> int:
@@ -319,7 +247,7 @@ def _run_search(
 
     pos = 0
     n = len(order)
-    with obs.span("search.score", backend=cfg.backend or "serial"):
+    with obs.span("search.score", lanes=chunk):
         while pos < n:
             # assemble the next batch; bounds are sorted, so the first
             # prunable candidate prunes everything behind it too
@@ -337,9 +265,8 @@ def _run_search(
             pos += chunk
 
             changed = False
-            for idx, cell in _score_batch(q_codes, index, scheme, batch, pool,
-                                          retries, allow_partial, token, stats,
-                                          kernel, lanes=lanes, cut=cut):
+            for idx, cell in _score_batch(q_codes, index, scheme, batch, retries,
+                                          allow_partial, token, stats, kernel, cut):
                 scored[idx] = (cell[0], cell)
                 score = cell[0]
                 if score < min_score:
@@ -453,38 +380,19 @@ def _sweep_lanes(q_codes, index, scheme, batch, token, stats, kernel, cut):
     return results
 
 
-def _score_batch(q_codes, index, scheme, batch, pool, retries, allow_partial,
-                 token, stats, kernel="auto", *, lanes=0, cut=None):
+def _score_batch(q_codes, index, scheme, batch, retries, allow_partial,
+                 token, stats, kernel, cut):
     """Score a batch of corpus positions; yields ``(idx, best_cell)``.
 
-    First attempts ride the pool (when there is one) or the lane-packed
-    batch kernel (serial backend, ``lanes > 1``); retries run inline
-    per-pair so the retry path is identical across backends.
+    First attempts ride the lane-packed batch kernel (a lone candidate
+    takes the per-pair sweep, which is faster at one lane); retries of
+    transient faults run per-pair.
     """
-    results: List[Tuple[int, Optional[tuple], Optional[BaseException]]] = []
-    if pool is None:
-        if lanes > 1 and len(batch) > 1:
-            results = _sweep_lanes(
-                q_codes, index, scheme, batch, token, stats, kernel, cut
-            )
-        else:
-            for idx in batch:
-                token.check()
-                results.append(_attempt_codes(q_codes, index, int(idx), scheme, kernel))
+    if len(batch) > 1:
+        results = _sweep_lanes(q_codes, index, scheme, batch, token, stats, kernel, cut)
     else:
         token.check()
-        futures = [
-            pool.submit(_score_task_codes, q_codes, index.codes_for(int(idx)),
-                        scheme, kernel)
-            for idx in batch
-        ]
-        for idx, fut in zip(batch, futures):
-            try:
-                results.append((int(idx), fut.result(), None))
-            except JobTimeoutError:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - retried/reported below
-                results.append((int(idx), None, exc))
+        results = [_attempt_codes(q_codes, index, int(batch[0]), scheme, kernel)]
 
     for idx, cell, exc in results:
         attempts_left = retries
@@ -509,9 +417,14 @@ def _score_batch(q_codes, index, scheme, batch, pool, retries, allow_partial,
         yield idx, cell
 
 
-def _attempt_codes(q_codes, index, idx, scheme, kernel="auto"):
+def _attempt_codes(q_codes, index, idx, scheme, kernel):
+    """One per-pair tier-2 attempt: fault site + linear-space best-cell
+    sweep over the index's code array for ``idx`` (no text decode).
+    Returns ``(idx, best_cell, None)`` or ``(idx, None, exc)``."""
     try:
-        return idx, _score_task_codes(q_codes, index.codes_for(idx), scheme, kernel), None
+        faults.inject(SITE_CANDIDATE_SCORE)
+        with registry.use(kernel):
+            return idx, _best_cell_local(q_codes, index.codes_for(idx), scheme, None), None
     except JobTimeoutError:
         raise
     except BaseException as exc:  # noqa: BLE001 - classified by caller

@@ -31,6 +31,7 @@ from typing import Optional, Tuple
 
 from ..core.config import DEFAULT_BASE_CELLS, DEFAULT_K, AlignConfig
 from ..core.planner import ops_ratio_bound, plan_alignment
+from ..kernels.batchdp import BATCH_LANES
 from ..parallel.model import alpha
 from ..parallel.tiles import default_uv
 from .profile import CalibrationProfile, load_profile
@@ -42,9 +43,7 @@ __all__ = [
     "tile_uv",
     "autotune_config",
     "beats_serial",
-    "DEFAULT_BATCH_LANES",
     "batch_lanes",
-    "use_batch",
 ]
 
 #: ``k`` the calibration probe ran its backend sweeps with; the Eq. 32
@@ -64,13 +63,6 @@ BAND_MIN_ADVANTAGE = 1.5
 #: ... and the problem is big enough for the fixed certificate overhead.
 BAND_MIN_DIM = 256
 
-#: Lane count used for the batch kernels when no calibration exists.
-#: Uncalibrated hosts still batch — the lane-packed sweep amortises
-#: per-pair dispatch overhead on every host we have measured — but a
-#: *measured* curve always overrides this guess (including down to 0,
-#: disabling batching, when the curve shows per-pair winning).
-DEFAULT_BATCH_LANES = 32
-
 
 @dataclass(frozen=True)
 class TunedChoice:
@@ -86,49 +78,20 @@ class TunedChoice:
     band: "None | str"
     predicted_s: float
     notes: Tuple[str, ...] = ()
-    batch_lanes: int = DEFAULT_BATCH_LANES
 
 
 def batch_lanes(
-    profile: Optional[CalibrationProfile],
-    tier: str,
-    kind: str,
-    default: int = DEFAULT_BATCH_LANES,
-) -> int:
-    """Lane count for the lane-packed batch kernels at ``(tier, kind)``.
-
-    Mirrors :func:`choose`'s never-below-serial rule for backends: a batch
-    lane count is only selected from a measured curve when its cells/s
-    **strictly beats** the ``lanes == 1`` per-pair baseline measured by
-    the same probe.  Outcomes:
-
-    * no profile, or the profile predates the batch probe — ``default``
-      (batching stays on with a fixed lane count; nothing was measured
-      to contradict it);
-    * curve measured and some ``lanes > 1`` point beats the baseline —
-      the fastest such point (largest lane count on ties);
-    * curve measured and **no** batch point beats per-pair — ``0``,
-      disabling batching: the decision layer can never select batch
-      where its own curve loses.
-    """
-    if profile is None:
-        return default
-    curve = profile.batch_curve(tier, kind)
-    if not curve:
-        return default
-    baseline = curve.get(1, 0.0)
-    winners = [(cps, b) for b, cps in curve.items() if b > 1 and cps > baseline]
-    if winners:
-        return max(winners)[1]
-    return 0
-
-
-def use_batch(
     profile: Optional[CalibrationProfile], tier: str, kind: str
-) -> bool:
-    """``True`` when the decision layer would route through the batch
-    kernels at all (``batch_lanes(...) > 1``)."""
-    return batch_lanes(profile, tier, kind) > 1
+) -> int:
+    """Lane width of the batch kernels: always
+    :data:`~repro.kernels.batchdp.BATCH_LANES`.
+
+    The width is a constant, not a decision — the lane-packed kernels beat
+    per-pair dispatch at every measured point with two or more targets, so
+    nothing here reads ``profile``.  The name and signature stay because
+    the end-to-end benchmark reports this value in its resolved plan.
+    """
+    return BATCH_LANES
 
 
 def _working_set_layers(affine: bool) -> int:
@@ -256,11 +219,6 @@ def choose(
         if kernel is not None:
             notes.append(f"tuned:kernel={kernel}")
 
-    kind = "affine" if affine else "linear"
-    lanes = batch_lanes(profile, kernel or "numpy", kind)
-    if profile.batch_curve(kernel or "numpy", kind):
-        notes.append(f"tuned:batch_lanes={lanes}")
-
     band: "None | str" = None
     kernel_cps = (profile.kernels.get(kernel or "numpy") or {}).get(
         "linear_cells_per_s", serial_cps
@@ -284,7 +242,6 @@ def choose(
         band=band,
         predicted_s=predicted_s,
         notes=tuple(notes),
-        batch_lanes=lanes,
     )
 
 

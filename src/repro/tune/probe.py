@@ -11,11 +11,11 @@ Measures, on the *current* host, every curve the decision layer consumes:
 * band-fill throughput (the fill-only verify-or-widen loop, using its
   exact cell accounting);
 * a Base-Case-buffer (``BM``) sweep — serial throughput at several buffer
-  sizes, locating the cache-sized sweet spot the paper tunes for;
-* lane-packed batch kernel curves — best-cell sweep cells/s per tier ×
-  gap kind at several lane counts, with the ``lanes == 1`` per-pair
-  dispatch measured through the same harness as the baseline the
-  decision layer requires batch to beat.
+  sizes, locating the cache-sized sweet spot the paper tunes for.
+
+The lane-packed batch kernels are not timed: they run at the fixed
+:data:`~repro.kernels.batchdp.BATCH_LANES` width, so the profile only
+records which best-local variant (``{"elem", "isa"}``) each tier runs.
 
 Everything is seeded and median-of-``repeats``; ``quick=True`` shrinks
 inputs and repeats for CI smoke (seconds instead of tens of seconds).
@@ -32,9 +32,8 @@ from typing import Callable, Dict, List, Optional
 from ..core.banded import banded_score
 from ..core.config import AlignConfig
 from ..core.fastlsa import fastlsa
-from ..core.local import _best_cell_local
 from ..core.score_only import align_score
-from ..kernels import batchdp, registry
+from ..kernels import registry
 from ..parallel.tiles import default_uv
 from ..scoring.dna import dna_simple
 from ..scoring.gaps import affine_gap, linear_gap
@@ -53,11 +52,6 @@ BASE_SWEEP_QUICK = (16_384, 262_144)
 #: (the part backends parallelise) actually runs instead of the whole
 #: problem collapsing into one dense base case.
 PROBE_BASE_CELLS = 4_096
-
-#: Lane counts the batch-kernel sweep visits (1 is the per-pair baseline);
-#: the others fill whole 16-lane blocks of the compiled best-local kernel.
-BATCH_LANE_POINTS = (1, 16, 32, 64)
-BATCH_LANE_POINTS_QUICK = (1, 16, 32)
 
 
 def _median_time(fn: Callable[[], object], repeats: int) -> float:
@@ -151,73 +145,12 @@ def calibrate(
         t = _median_time(lambda: fastlsa(a, b, lin, config=cfg), repeats)
         base_sweep[int(base_cells)] = cells / max(t, 1e-9)
 
-    # -- batch kernels -------------------------------------------------
-    # Many short pairs is the regime the lane-packed kernels target, so
-    # probe with batch-scale targets rather than the long sweep pair.
-    lane_points = BATCH_LANE_POINTS_QUICK if quick else BATCH_LANE_POINTS
-    batch_len = 192 if quick else 256
-    batch_query, _ = dna_pair(batch_len, divergence=0.2, seed=seed + 2)
-    target_texts = [
-        dna_pair(batch_len, divergence=0.2, seed=seed + 10 + i)[0]
-        for i in range(max(lane_points))
-    ]
-    batch: Dict[str, Dict[str, Dict[int, float]]] = {}
-    for tier in registry.available_tiers():
-        tier_curves: Dict[str, Dict[int, float]] = {}
-        for kind, scheme in (("linear", lin), ("affine", aff)):
-            q_codes = scheme.encode(batch_query)
-            t_codes = [scheme.encode(t) for t in target_texts]
-            table = scheme.matrix.table
-            total = float(len(q_codes)) * float(sum(len(t) for t in t_codes))
-            curve: Dict[int, float] = {}
-            for lanes in lane_points:
-                say(f"batch {tier}/{kind} x{lanes}: best-cell sweep")
-                if lanes == 1:
-
-                    def run() -> None:
-                        with registry.use(tier):
-                            for codes in t_codes:
-                                _best_cell_local(q_codes, codes, scheme, None)
-
-                else:
-                    packed = [
-                        batchdp.pack_lanes(t_codes[i : i + lanes])
-                        for i in range(0, len(t_codes), lanes)
-                    ]
-                    provider = registry.get_batch_kernel(tier)
-
-                    if kind == "linear":
-
-                        def run() -> None:
-                            for pack, lens in packed:
-                                provider.best_cell_local(
-                                    q_codes, pack, lens, table, scheme.gap_open
-                                )
-
-                    else:
-
-                        def run() -> None:
-                            for pack, lens in packed:
-                                provider.best_cell_local_affine(
-                                    q_codes,
-                                    pack,
-                                    lens,
-                                    table,
-                                    scheme.gap_open,
-                                    scheme.gap_extend,
-                                )
-
-                curve[lanes] = total / max(_median_time(run, repeats), 1e-9)
-            tier_curves[kind] = curve
-        batch[tier] = tier_curves
-
-    # The best-local variant ({"elem", "isa"}) the batch probe ran per tier.
-    widest = max(len(t) for t in target_texts)
+    # The best-local batch variant ({"elem", "isa"}) each tier runs.
     info["batch_kernel"] = {
         tier: registry.get_batch_kernel(tier).variant(
-            len(batch_query), widest, aff.matrix.table, aff.gap_open, aff.gap_extend
+            len(a), len(b), aff.matrix.table, aff.gap_open, aff.gap_extend
         )
-        for tier in batch
+        for tier in registry.available_tiers()
     }
     info["fingerprint"] = host_fingerprint(info)
     return CalibrationProfile(
@@ -227,6 +160,5 @@ def calibrate(
         handoff_s=handoff_s,
         band_fill_cells_per_s=band_cps,
         base_sweep=base_sweep,
-        batch=batch,
         quick=quick,
     )

@@ -91,7 +91,10 @@ class CalibrationProfile:
     Attributes
     ----------
     host:
-        :func:`host_info` of the probed machine plus its ``fingerprint``.
+        :func:`host_info` of the probed machine plus its ``fingerprint``
+        and ``batch_kernel`` (``tier -> {"elem", "isa"}``, the best-local
+        batch variant each tier runs; the lane width itself is the fixed
+        :data:`~repro.kernels.batchdp.BATCH_LANES`, not measured).
     kernels:
         ``tier -> {"linear_cells_per_s": float, "affine_cells_per_s": float}``
         for every tier available when the probe ran.
@@ -109,13 +112,6 @@ class CalibrationProfile:
         ``str(base_cells) -> cells_per_s`` serial throughput at several
         Base Case buffer sizes — how the planner learns the cache-sized
         ``BM`` sweet spot.
-    batch:
-        ``tier -> {kind -> {lanes -> cells_per_s}}`` throughput of the
-        lane-packed batch kernels (``kind`` is ``"linear"``/``"affine"``).
-        The ``lanes == 1`` point is the *per-pair* baseline measured
-        through the same harness, so the decision layer can compare batch
-        and per-pair dispatch on equal footing.  Empty when the probe
-        predates the batch kernels.
     quick:
         Probe ran in ``--quick`` mode (smaller inputs, fewer repeats).
     synthetic:
@@ -129,7 +125,6 @@ class CalibrationProfile:
     handoff_s: Dict[str, float] = field(default_factory=dict)
     band_fill_cells_per_s: float = 0.0
     base_sweep: Dict[str, float] = field(default_factory=dict)
-    batch: Dict[str, Dict[str, Dict[int, float]]] = field(default_factory=dict)
     quick: bool = False
     synthetic: bool = False
     schema_version: int = SCHEMA_VERSION
@@ -207,12 +202,6 @@ class CalibrationProfile:
                 best, best_cps = tier, cps
         return best
 
-    def batch_curve(self, tier: str, kind: str) -> Dict[int, float]:
-        """Measured ``{lanes -> cells_per_s}`` for the batch kernel at
-        ``(tier, kind)``; empty when the point was never probed."""
-        curve = (self.batch.get(tier) or {}).get(kind) or {}
-        return {int(b): float(v) for b, v in curve.items()}
-
     def best_base_cells(self) -> Optional[int]:
         """The Base Case buffer size with the highest measured throughput."""
         if not self.base_sweep:
@@ -230,10 +219,6 @@ class CalibrationProfile:
             "handoff_s": dict(self.handoff_s),
             "band_fill_cells_per_s": self.band_fill_cells_per_s,
             "base_sweep": dict(self.base_sweep),
-            "batch": {
-                t: {k: dict(c) for k, c in kinds.items()}
-                for t, kinds in self.batch.items()
-            },
             "quick": self.quick,
             "synthetic": self.synthetic,
         }
@@ -250,6 +235,8 @@ class CalibrationProfile:
             )
         # JSON stringifies int keys: restore worker counts and base-buffer
         # sizes as ints so in-memory and loaded profiles are identical.
+        # Older profiles may carry a ``batch`` key (lane-count curves the
+        # probe no longer measures); it is ignored, same schema version.
         return cls(
             host=dict(data.get("host") or {}),
             kernels={
@@ -264,16 +251,6 @@ class CalibrationProfile:
             band_fill_cells_per_s=float(data.get("band_fill_cells_per_s") or 0.0),
             base_sweep={
                 int(k): float(v) for k, v in (data.get("base_sweep") or {}).items()
-            },
-            # ``batch`` is absent from pre-PR10 profiles: tolerate that
-            # (same schema version) and coerce JSON-stringified lane
-            # counts back to ints.
-            batch={
-                str(t): {
-                    str(k): {int(b): float(v) for b, v in (c or {}).items()}
-                    for k, c in (kinds or {}).items()
-                }
-                for t, kinds in (data.get("batch") or {}).items()
             },
             quick=bool(data.get("quick", False)),
             synthetic=bool(data.get("synthetic", False)),

@@ -53,14 +53,6 @@ def synthetic_profile(kind: str) -> CalibrationProfile:
             band_fill_cells_per_s=220 * _M,
             base_sweep={16_384: 88 * _M, 262_144: 101 * _M,
                         1_048_576: 97 * _M},
-            # Linear lane-packing pays (dispatch amortisation needs no
-            # extra cores); the affine batch kernel measured *below* its
-            # per-pair baseline here — the decision layer must disable
-            # batching (lanes=0) for that kind, never select it.
-            batch={"numpy": {
-                "linear": {1: 38 * _M, 8: 92 * _M, 32: 128 * _M},
-                "affine": {1: 30 * _M, 8: 24 * _M, 32: 22 * _M},
-            }},
         )
     if kind == "fast-8cpu":
         return _profile(
@@ -78,20 +70,6 @@ def synthetic_profile(kind: str) -> CalibrationProfile:
             band_fill_cells_per_s=230 * _M,
             base_sweep={16_384: 90 * _M, 262_144: 100 * _M,
                         1_048_576: 95 * _M},
-            batch={
-                "numpy": {
-                    "linear": {1: 40 * _M, 8: 110 * _M, 32: 160 * _M,
-                               64: 150 * _M},
-                    "affine": {1: 22 * _M, 8: 48 * _M, 32: 61 * _M,
-                               64: 58 * _M},
-                },
-                "compiled": {
-                    "linear": {1: 300 * _M, 8: 520 * _M, 32: 640 * _M,
-                               64: 650 * _M},
-                    "affine": {1: 180 * _M, 8: 290 * _M, 32: 340 * _M,
-                               64: 335 * _M},
-                },
-            },
         )
     raise ConfigError(
         f"unknown synthetic profile {kind!r}; choose from {SYNTHETIC_KINDS}"

@@ -291,6 +291,38 @@ class TestIndexSearch:
         assert "error:" in capsys.readouterr().err
 
 
+class TestKernels:
+    """``fastlsa kernels`` reports the fixed lane width and the best-local
+    variant per tier, not calibrated lane curves."""
+
+    def test_json_reports_lanes_and_variant(self, capsys):
+        import json
+
+        from repro.kernels import batchdp, registry
+
+        assert main(["kernels", "--json"]) == 0
+        batch = json.loads(capsys.readouterr().out)["batch"]
+        assert set(batch["tiers"]) == set(registry.available_tiers())
+        for tier, entry in batch["tiers"].items():
+            assert entry["lanes"] == batchdp.BATCH_LANES
+            want = ("numpy",) if tier == "numpy" else ("avx2", "default")
+            assert entry["variant"]["isa"] in want
+            assert entry["variant"]["elem"] in ("int32", "int64")
+            assert "calibrated_cells_per_s" not in json.dumps(entry)
+            assert "auto_lanes" not in json.dumps(entry)
+
+    def test_text_reports_lanes_and_variant(self, capsys):
+        from repro.kernels import registry
+
+        main(["kernels"])
+        out = capsys.readouterr().out
+        for tier in registry.available_tiers():
+            line = next(ln for ln in out.splitlines()
+                        if ln.strip().startswith(tier) and "lanes=" in ln)
+            assert "lanes=32 variant elem=" in line and "isa=" in line
+        assert "auto_lanes" not in out and "calibrate" not in out
+
+
 class TestChaosSearchScenario:
     def test_index_rot_fails_typed(self, capsys):
         assert main(["chaos", "index-rot", "--scenario", "search",

@@ -90,7 +90,9 @@ class TestBatchAlign:
         query, related, strangers = database
         pool = ThreadPoolExecutor(max_workers=2)
         try:
-            hits = batch_align(query, related, dna_scheme, keep=1, executor=pool)
+            # semiglobal has no lane kernel: it scores per pair on the pool
+            hits = batch_align(query, related, dna_scheme, mode="semiglobal",
+                               keep=1, executor=pool)
             assert hits[0].rank == 1
             # the pool must remain usable afterwards
             assert pool.submit(lambda: 7).result(timeout=5) == 7

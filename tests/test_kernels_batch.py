@@ -282,7 +282,7 @@ class TestLaneInnerKernel:
     innermost; every block edge, retirement pattern and cell type must
     stay word-identical to numpy batchdp and per-pair."""
 
-    @pytest.mark.parametrize("B", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("B", [1, 15, 16, 17, 33, 64])
     @pytest.mark.parametrize("scheme", [LIN, AFF], ids=["linear", "affine"])
     def test_block_edges_ragged_and_empty_lanes(self, scheme, B):
         rng = random.Random(100 + B)
@@ -370,10 +370,22 @@ class TestLaneOccupancy:
         assert batchdp.lane_occupancy(0) == 0.0
 
 
-class TestSearchBatchDifferential:
-    """Forcing the search tier-2 batch path must not change any result."""
+def _oracle_local(q, targets, scheme):
+    """Per-target ``local_best_cell`` triples, cross-checked against
+    brute-force Smith–Waterman scores."""
+    from repro.baselines.smith_waterman import smith_waterman
 
-    def _corpus(self, rng, n=60):
+    cells = [local_best_cell(q, t, scheme) for t in targets]
+    for t, cell in zip(targets, cells):
+        assert cell[0] == smith_waterman(q, t, scheme).score
+    return cells
+
+
+class TestSearchBatchDifferential:
+    """Search tier 2 scores on the lane-packed kernels; its top-K must
+    equal the per-target oracle exactly: scores, order and end cells."""
+
+    def _corpus(self, rng, n=200):
         seqs = [_rand_seq(rng, 30, 200) for _ in range(n)]
         q = _rand_seq(rng, 90, 110)
         for _ in range(5):
@@ -381,58 +393,88 @@ class TestSearchBatchDifferential:
             for _ in range(rng.randint(0, 10)):
                 s[rng.randrange(len(s))] = rng.choice("ACGT")
             seqs.append("".join(s))
-        return q, CorpusIndex.build(seqs, "ACGT")
+        return q, seqs
 
     @pytest.mark.parametrize("scheme", [LIN, AFF], ids=["linear", "affine"])
     def test_topk_identical_to_per_pair(self, scheme):
+        from repro.obs import runtime as obs
+
         rng = random.Random(43)
-        q, idx = self._corpus(rng)
-        per_pair = search(q, idx, scheme, top_k=7, lanes=0)
-        batched = search(q, idx, scheme, top_k=7, lanes=32)
-        tiny = search(q, idx, scheme, top_k=7, lanes=2)
-
-        def key(result):
-            return [
-                (
-                    h.name,
-                    h.corpus_index,
-                    h.score,
-                    None
-                    if h.local is None
-                    else (h.local.a_start, h.local.a_end,
-                          h.local.b_start, h.local.b_end),
-                )
-                for h in result.hits
-            ]
-
-        assert key(batched) == key(per_pair)
-        assert key(tiny) == key(per_pair)
-        # exactness bookkeeping still holds on the batch path
-        total = per_pair.stats.pruned + per_pair.stats.scored
-        assert batched.stats.pruned + batched.stats.scored == total
+        q, seqs = self._corpus(rng)
+        idx = CorpusIndex.build(seqs, "ACGT")
+        with obs.instrumented() as inst:
+            res = search(q, idx, scheme, top_k=20)
+        cells = _oracle_local(q, seqs, scheme)
+        want = sorted((-c[0], i) for i, c in enumerate(cells) if c[0] >= 1)[:20]
+        assert [(h.corpus_index, h.score) for h in res.hits] == [
+            (i, -negscore) for negscore, i in want
+        ]
+        for h in res.hits:
+            assert (h.local.a_end, h.local.b_end) == cells[h.corpus_index][1:]
+        assert res.stats.pruned + res.stats.scored == len(seqs)
+        snap = inst.metrics.snapshot()
+        # 30-200 bp targets split into ragged length buckets, some of
+        # them smaller than one 16-lane block
+        assert snap["search.batch.sweeps"] >= 2
+        assert snap["search.batch.lane_occupancy"]["min"] < 1.0
+        assert snap["search.batch.pad_waste"]["max"] > 0.0
+        # the 20th-best score sits among many random candidates, so lanes
+        # retire against the floor right at the boundary
+        assert snap["search.batch.lanes_pruned"] > 0
 
     def test_lanes_validation(self):
+        """The lane width is the constant ``BATCH_LANES``: the removed
+        ``lanes=`` knob is rejected, never silently ignored."""
         rng = random.Random(47)
-        q, idx = self._corpus(rng, n=8)
-        with pytest.raises(Exception):
-            search(q, idx, LIN, top_k=3, lanes=-1)
+        q, seqs = self._corpus(rng, n=8)
+        idx = CorpusIndex.build(seqs, "ACGT")
+        with pytest.raises(TypeError, match="lanes"):
+            search(q, idx, LIN, top_k=3, lanes=32)
+        with pytest.raises(TypeError, match="lanes"):
+            batch_align(q, seqs, LIN, mode="local", keep=0, lanes=32)
 
 
 class TestBatchAlignDifferential:
+    """``batch_align`` scores local and unbanded global on the lane
+    kernels; ranks and alignments must equal the per-target oracle."""
+
     @pytest.mark.parametrize("mode", ["local", "global"])
     @pytest.mark.parametrize("scheme", [LIN, AFF], ids=["linear", "affine"])
     def test_hits_identical(self, mode, scheme):
         rng = random.Random(53)
         q = _rand_seq(rng, 80, 120)
-        targets = [_rand_seq(rng, 20, 160) for _ in range(25)]
-        a = batch_align(q, targets, scheme, mode=mode, keep=3, lanes=0)
-        b = batch_align(q, targets, scheme, mode=mode, keep=3, lanes=8)
-        assert [(h.score, h.rank, h.target.name) for h in a] == [
-            (h.score, h.rank, h.target.name) for h in b
+        # 20-160 bp: ragged packs, split by length
+        self._check(q, [_rand_seq(rng, 20, 160) for _ in range(25)], scheme, mode)
+        # one pack smaller than a 16-lane block
+        self._check(q, [_rand_seq(rng, 60, 110) for _ in range(5)], scheme, mode)
+
+    def _check(self, q, targets, scheme, mode):
+        from repro.core.fastlsa import fastlsa
+        from repro.core.local import fastlsa_local
+
+        hits = batch_align(q, targets, scheme, mode=mode, keep=3)
+        if mode == "local":
+            cells = _oracle_local(q, targets, scheme)
+            scores = [c[0] for c in cells]
+        else:
+            scores = [align_score(q, t, scheme) for t in targets]
+        order = sorted(range(len(targets)), key=lambda i: (-scores[i], i))
+        assert [(h.rank, h.target.text, h.score) for h in hits] == [
+            (r, targets[i], scores[i]) for r, i in enumerate(order, start=1)
         ]
-        assert [
-            (str(h.alignment), h.a_range, h.b_range) for h in a if h.alignment
-        ] == [(str(h.alignment), h.a_range, h.b_range) for h in b if h.alignment]
+        for h, i in zip(hits[:3], order):
+            if mode == "local":
+                want = fastlsa_local(q, targets[i], scheme, best_cell=cells[i])
+                assert (h.a_range, h.b_range) == (
+                    (want.a_start, want.a_end), (want.b_start, want.b_end)
+                )
+                assert (h.a_range[1], h.b_range[1]) == cells[i][1:]
+                want = want.alignment
+            else:
+                want = fastlsa(q, targets[i], scheme)
+            assert (h.alignment.gapped_a, h.alignment.gapped_b, h.alignment.score) == (
+                want.gapped_a, want.gapped_b, want.score
+            )
 
 
 class TestObservability:
@@ -443,12 +485,12 @@ class TestObservability:
         q = _rand_seq(rng, 60, 80)
         targets = [_rand_seq(rng, 30, 90) for _ in range(20)]
         with obs.instrumented() as inst:
-            batch_align(q, targets, LIN, mode="local", keep=0, lanes=8)
+            batch_align(q, targets, LIN, mode="local", keep=0)
         snap = inst.metrics.snapshot()
         assert snap["batch.sweeps"] >= 1
         assert snap["batch.lane_occupancy"]["count"] >= 1
-        # at most 8 filled lanes of a 16-lane block
-        assert 0.0 < snap["batch.lane_occupancy"]["max"] <= 0.5
+        # 20 targets fill at most two 16-lane blocks of a BATCH_LANES pack
+        assert 1 / 16 <= snap["batch.lane_occupancy"]["max"] <= 1.0
         assert snap["batch.pad_waste"]["count"] >= 1
         assert 0.0 <= snap["batch.pad_waste"]["max"] < 1.0
 
@@ -460,7 +502,7 @@ class TestObservability:
         q = _rand_seq(rng, 60, 80)
         idx = CorpusIndex.build(seqs, "ACGT")
         with obs.instrumented() as inst:
-            search(q, idx, LIN, top_k=5, lanes=16)
+            search(q, idx, LIN, top_k=5)
         snap = inst.metrics.snapshot()
         assert snap["search.batch.sweeps"] >= 1
         occ = snap["search.batch.lane_occupancy"]
@@ -474,3 +516,33 @@ class TestObservability:
             assert attrs["batch_isa"] in ("avx2", "default")
         else:
             assert (attrs["batch_elem"], attrs["batch_isa"]) == ("int64", "numpy")
+
+    def test_threads_backend_scores_on_lanes(self):
+        """The backend only drives the final alignments: tier 2 takes the
+        lane route under ``threads`` too, and the span says so."""
+        from repro.core.config import AlignConfig
+        from repro.obs import runtime as obs
+
+        rng = random.Random(67)
+        seqs = [_rand_seq(rng, 40, 120) for _ in range(40)]
+        q = _rand_seq(rng, 60, 80)
+        seqs[7] = q[5:70]
+        idx = CorpusIndex.build(seqs, "ACGT")
+        cfg = AlignConfig(backend="threads", max_workers=2)
+        with obs.instrumented() as inst:
+            res = search(q, idx, AFF, top_k=4, config=cfg)
+        attrs = inst.tracer.find("search.score")[0].attrs
+        assert attrs["lanes"] == batchdp.BATCH_LANES
+        assert "backend" not in attrs and attrs["batch_elem"]
+        assert inst.metrics.snapshot()["search.batch.sweeps"] >= 1
+        cells = _oracle_local(q, seqs, AFF)
+        want = sorted((-c[0], i) for i, c in enumerate(cells) if c[0] >= 1)[:4]
+        serial = search(q, idx, AFF, top_k=4)
+        assert [(h.corpus_index, h.score) for h in res.hits] == [
+            (i, -negscore) for negscore, i in want
+        ]
+        assert [(h.corpus_index, h.local.alignment.gapped_a,
+                 h.local.alignment.gapped_b) for h in res.hits] == [
+            (h.corpus_index, h.local.alignment.gapped_a,
+             h.local.alignment.gapped_b) for h in serial.hits
+        ]

@@ -159,19 +159,6 @@ class TestEngineBehaviour:
         with pytest.raises(JobTimeoutError):
             search("ACGTACGT", index, dna_scheme, top_k=2, deadline=0.0)
 
-    def test_external_executor_not_shut_down(self, rng, dna_scheme):
-        from concurrent.futures import ThreadPoolExecutor
-
-        base = Sequence(random_dna(rng, 50), name="base")
-        records = make_corpus(rng, base, n_homologs=3, n_decoys=8, n_randoms=3)
-        index = CorpusIndex.build(records, "ACGT")
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            res = search(base, index, dna_scheme, top_k=3, executor=pool)
-            assert_hits_match(res.hits, brute_force(base, records, dna_scheme, 3),
-                              records)
-            # the engine must not have shut the caller's pool down
-            assert pool.submit(lambda: 42).result() == 42
-
     def test_streaming_snapshots(self, rng, dna_scheme):
         base = Sequence(random_dna(rng, 60), name="base")
         records = make_corpus(rng, base, n_homologs=5, n_decoys=10, n_randoms=4)

@@ -308,76 +308,20 @@ class TestWorkerClamp:
 
 
 class TestBatchLanes:
-    """PR 10: the batch-lane pick can never select batch where its own
-    measured curve loses to per-pair dispatch."""
-
-    def _with_batch(self, curve):
-        p = synthetic_profile("fast-8cpu")
-        p.batch = {"numpy": {"linear": curve}}
-        return p
+    """The batch lane width is the constant ``BATCH_LANES``; the profile
+    (calibrated or not) never changes it."""
 
     def test_no_profile_defaults_on(self):
-        from repro.tune.decision import DEFAULT_BATCH_LANES, batch_lanes
+        from repro.kernels.batchdp import BATCH_LANES
+        from repro.tune.decision import batch_lanes
 
-        assert batch_lanes(None, "numpy", "linear") == DEFAULT_BATCH_LANES
+        assert batch_lanes(None, "numpy", "linear") == BATCH_LANES == 32
 
     def test_missing_curve_defaults_on(self):
-        from repro.tune.decision import DEFAULT_BATCH_LANES, batch_lanes
-
-        p = self._with_batch({1: 10 * _M, 32: 40 * _M})
-        assert batch_lanes(p, "compiled", "linear") == DEFAULT_BATCH_LANES
-        assert batch_lanes(p, "numpy", "affine") == DEFAULT_BATCH_LANES
-
-    def test_measured_winner_is_picked(self):
+        from repro.kernels.batchdp import BATCH_LANES
         from repro.tune.decision import batch_lanes
 
-        p = self._with_batch({1: 10 * _M, 8: 30 * _M, 32: 45 * _M, 64: 44 * _M})
-        assert batch_lanes(p, "numpy", "linear") == 32
-
-    def test_measured_loser_disables_batching(self):
-        from repro.tune.decision import batch_lanes, use_batch
-
-        p = self._with_batch({1: 50 * _M, 8: 30 * _M, 32: 20 * _M})
-        assert batch_lanes(p, "numpy", "linear") == 0
-        assert not use_batch(p, "numpy", "linear")
-
-    def test_synthetic_fixture_affine_loser(self):
-        from repro.tune.decision import batch_lanes
-
-        slow = synthetic_profile("slow-1cpu")
-        assert batch_lanes(slow, "numpy", "affine") == 0
-        assert batch_lanes(slow, "numpy", "linear") == 32
-
-    def test_choice_carries_batch_lanes(self):
-        choice = choose(synthetic_profile("fast-8cpu"), 400, 400,
-                        kernels=("numpy", "compiled"))
-        assert choice.batch_lanes == 64
-        assert any(n.startswith("tuned:batch_lanes=") for n in choice.notes)
-
-    @given(
-        curve=st.dictionaries(
-            st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
-            st.floats(min_value=1.0, max_value=1e9,
-                      allow_nan=False, allow_infinity=False),
-            min_size=1,
-            max_size=7,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_property_never_selects_a_measured_loser(self, curve):
-        from repro.tune.decision import batch_lanes
-
-        p = self._with_batch(curve)
-        picked = batch_lanes(p, "numpy", "linear")
-        baseline = curve.get(1, 0.0)
-        if picked > 1:
-            # any selected lane count must strictly beat the per-pair
-            # baseline measured by the same probe
-            assert curve[picked] > baseline
-            # and nothing measured strictly faster was skipped
-            assert curve[picked] == max(
-                v for b, v in curve.items() if b > 1 and v > baseline
-            )
-        elif picked == 0:
-            # disabled only when every measured batch point loses
-            assert all(v <= baseline for b, v in curve.items() if b > 1)
+        for kind in ("slow-1cpu", "fast-8cpu"):
+            p = synthetic_profile(kind)
+            assert batch_lanes(p, "compiled", "linear") == BATCH_LANES
+            assert batch_lanes(p, "numpy", "affine") == BATCH_LANES

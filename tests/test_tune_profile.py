@@ -16,6 +16,7 @@ import warnings
 import pytest
 
 from repro.errors import ConfigError
+from repro.kernels import registry
 from repro.tune import (
     SCHEMA_VERSION,
     CalibrationProfile,
@@ -204,6 +205,64 @@ class TestProfilesWithRemovedBackend:
             assert cfg.backend in ("serial", "threads")
 
 
+class TestProfilesWithBatchCurves:
+    """Profiles cached before the batch lane race was removed carry a
+    ``batch`` key of lane-count curves.  They load at the same schema
+    version, the key is ignored, and the plan they yield is unchanged."""
+
+    def _parent_dict(self) -> dict:
+        data = _real_host_profile().to_dict()
+        data["host"]["batch_kernel"] = {"numpy": {"elem": "int64", "isa": "numpy"}}
+        # as JSON wrote it: lane counts stringified; affine "loses"
+        data["batch"] = {"numpy": {
+            "linear": {"1": 38e6, "16": 92e6, "32": 128e6},
+            "affine": {"1": 30e6, "16": 24e6, "32": 22e6},
+        }}
+        return data
+
+    def test_parent_profile_loads_with_same_plan(self, tmp_path):
+        from repro.core.config import AlignConfig
+        from repro.tune import autotune_config, choose
+
+        parent = self._parent_dict()
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(parent, indent=2, sort_keys=True))
+        loaded = load_cached(str(path))
+        assert loaded is not None and loaded.schema_version == SCHEMA_VERSION
+        assert loaded.host["batch_kernel"] == parent["host"]["batch_kernel"]
+        assert not hasattr(loaded, "batch")
+        del parent["batch"]
+        reference = CalibrationProfile.from_dict(parent)
+        for affine in (False, True):
+            for size in (200, 5_000):
+                got = choose(loaded, size, size, affine=affine,
+                             kernels=registry.available_tiers())
+                want = choose(reference, size, size, affine=affine,
+                              kernels=registry.available_tiers())
+                assert (got.backend, got.kernel, got.k, got.base_cells) == (
+                    want.backend, want.kernel, want.k, want.base_cells
+                ) == ("serial", "numpy", want.k, 262144)
+                assert got.notes == want.notes
+                assert not any("batch" in n for n in got.notes)
+                cfg, notes = autotune_config(
+                    AlignConfig(), size, size, affine=affine, profile=loaded
+                )
+                ref_cfg, ref_notes = autotune_config(
+                    AlignConfig(), size, size, affine=affine, profile=reference
+                )
+                assert (cfg.backend, cfg.kernel, cfg.k, cfg.base_cells) == (
+                    ref_cfg.backend, ref_cfg.kernel, ref_cfg.k, ref_cfg.base_cells
+                )
+                assert notes == ref_notes
+
+    def test_new_profile_has_no_batch_key(self, tmp_path):
+        path = tmp_path / "calibration.json"
+        CalibrationProfile.from_dict(self._parent_dict()).save(str(path))
+        data = json.loads(path.read_text())
+        assert "batch" not in data
+        assert data["host"]["batch_kernel"] == {"numpy": {"elem": "int64", "isa": "numpy"}}
+
+
 class TestCurveQueries:
     def test_best_backend_never_below_serial(self):
         p = synthetic_profile("slow-1cpu")
@@ -237,10 +296,11 @@ def test_quick_calibrate_produces_consumable_profile(tmp_path):
     profile = calibrate(quick=True, length=96, repeats=1)
     assert profile.quick and not profile.synthetic
     assert profile.serial_cells_per_s() > 0
-    # batch lane points fill whole 16-lane blocks; the host info names
-    # the best-local variant each probed tier ran
-    for tier, curves in profile.batch.items():
-        assert set(curves["linear"]) == {1, 16, 32}
+    # no lane race: the host info names the best-local variant each
+    # available tier runs, and nothing else about the batch kernels
+    assert "batch" not in profile.to_dict()
+    assert set(profile.host["batch_kernel"]) == set(registry.available_tiers())
+    for tier in registry.available_tiers():
         variant = profile.host["batch_kernel"][tier]
         assert variant["elem"] in ("int32", "int64")
         assert variant["isa"] in (("numpy",) if tier == "numpy" else ("avx2", "default"))
