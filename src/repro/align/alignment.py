@@ -115,8 +115,8 @@ class Alignment:
             raise AlignmentError("gapped_a does not spell seq_a after removing gaps")
         if self.gapped_b.replace(GAP, "") != self.seq_b.text:
             raise AlignmentError("gapped_b does not spell seq_b after removing gaps")
-        for ca, cb in zip(self.gapped_a, self.gapped_b):
-            if ca == GAP and cb == GAP:
+        if GAP in self.gapped_a and GAP in self.gapped_b:
+            if np.any(_gap_mask(self.gapped_a) & _gap_mask(self.gapped_b)):
                 raise AlignmentError("alignment column aligns a gap with a gap")
 
     def __len__(self) -> int:
@@ -158,6 +158,12 @@ class Alignment:
             f"Alignment({self.seq_a.name}/{self.seq_b.name}, score={self.score}, "
             f"columns={len(self.gapped_a)}, algorithm={self.algorithm!r})"
         )
+
+
+def _gap_mask(gapped: str) -> np.ndarray:
+    """Boolean mask of the gap columns of a gapped string."""
+    points = np.frombuffer(gapped.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return points == ord(GAP)
 
 
 def _gapped(text: str, consumes: np.ndarray) -> str:

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..align.alignment import Alignment, AlignmentStats, alignment_from_path
-from ..align.path import AlignmentPath
+from ..align.path import AlignmentPath, PathBuilder
 from ..align.sequence import as_sequence
 from ..errors import ConfigError
 from ..kernels.fullmatrix import compute_full, trace_from
@@ -62,26 +62,24 @@ def _solve_base(
     mats = compute_full(a_codes, b_codes, scheme, fr, fc, counter=inst.ops)
     inst.mem.alloc(mats.cells)
     points, _ = trace_from(mats, a_codes, b_codes, scheme, M, N)
-    # Complete along the boundary to the local origin.
-    if points:
-        i, j = points[-1]
-    else:
-        i, j = M, N
-    tail: List[Point] = []
-    while i > 0:
-        i -= 1
-        tail.append((i, j))
-    while j > 0:
-        j -= 1
-        tail.append((i, j))
-    full_rev = points + tail  # traceback order, excludes (M, N), ends at (0, 0)
     score = mats.score
     inst.mem.free(mats.cells)
-    # Emit forward, excluding the origin, including the corner.
-    for (pi, pj) in reversed(full_rev[:-1] if full_rev else []):
-        out.append((i_off + pi, j_off + pj))
-    out.append((i_off + M, j_off + N))
+    emit_forward(points, M, N, i_off, j_off, out)
     return score
+
+
+def emit_forward(
+    points: np.ndarray, M: int, N: int, i_off: int, j_off: int, out: List[Point]
+) -> None:
+    """Complete a base rectangle's traceback ``points`` (from its corner
+    ``(M, N)``) along the boundary to the local origin and emit the path
+    forward into ``out``: offset by ``(i_off, j_off)``, excluding the
+    origin, including the corner."""
+    builder = PathBuilder((M, N))
+    builder.extend(points)
+    builder.extend_to_origin()
+    fwd = builder.finalize().array[1:] + (i_off, j_off)
+    out.extend(zip(fwd[:, 0].tolist(), fwd[:, 1].tolist()))
 
 
 def _hirschberg_rec(

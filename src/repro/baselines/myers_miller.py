@@ -41,6 +41,7 @@ from ..kernels.affine import NEG_INF, sweep_last_row_col_affine
 from ..kernels.fullmatrix import compute_full, trace_from
 from ..kernels.ops import KernelInstruments
 from ..scoring.scheme import ScoringScheme
+from .hirschberg import emit_forward
 
 __all__ = ["myers_miller", "DEFAULT_BASE_CELLS"]
 
@@ -160,21 +161,7 @@ def _solve_base(
             start_layer = Layer.F
     points, _ = trace_from(mats, a_codes, b_codes, scheme, M, N, start_layer)
     inst.mem.free(mats.cells)
-    if points:
-        i, j = points[-1]
-    else:
-        i, j = M, N
-    tail: List[Point] = []
-    while i > 0:
-        i -= 1
-        tail.append((i, j))
-    while j > 0:
-        j -= 1
-        tail.append((i, j))
-    full_rev = points + tail
-    for (pi, pj) in reversed(full_rev[:-1] if full_rev else []):
-        out.append((i_off + pi, j_off + pj))
-    out.append((i_off + M, j_off + N))
+    emit_forward(points, M, N, i_off, j_off, out)
 
 
 def _emit_row_case(

@@ -84,14 +84,7 @@ def needleman_wunsch(
     builder = PathBuilder((m, n), Layer.H)
     points, _layer = trace_from(mats, a_codes, b_codes, scheme, m, n)
     builder.extend(points)
-    # Finish along the boundary to (0, 0).
-    i, j = builder.head
-    while i > 0:
-        i -= 1
-        builder.append((i, j))
-    while j > 0:
-        j -= 1
-        builder.append((i, j))
+    builder.extend_to_origin()
     path = builder.finalize()
 
     score = mats.score

@@ -181,16 +181,6 @@ def _finish_stats(inst: KernelInstruments, t0: float, attempts: int = 1) -> Alig
     )
 
 
-def _extend_to_origin(builder: PathBuilder) -> None:
-    i, j = builder.head
-    while i > 0:
-        i -= 1
-        builder.append((i, j))
-    while j > 0:
-        j -= 1
-        builder.append((i, j))
-
-
 def _full_align(
     a,
     b,
@@ -218,7 +208,7 @@ def _full_align(
     builder = PathBuilder((m, n))
     points, _layer = trace_from(mats, a_codes, b_codes, scheme, m, n)
     builder.extend(points)
-    _extend_to_origin(builder)
+    builder.extend_to_origin()
     inst.mem.free(mats.cells)
     alignment = alignment_from_path(
         a, b, builder.finalize(), score,
@@ -324,7 +314,7 @@ def _trace_band_linear(
         else:
             raise PathError(f"banded traceback stuck at ({i}, {j})")
         builder.append((i, i + dmin + t))
-    _extend_to_origin(builder)
+    builder.extend_to_origin()
 
     alignment = alignment_from_path(
         a, b, builder.finalize(), score,
@@ -642,7 +632,7 @@ def _trace_band_affine(
             i -= 1
             t += 1
             builder.append((i, i + dmin + t))
-    _extend_to_origin(builder)
+    builder.extend_to_origin()
 
     alignment = alignment_from_path(
         a, b, builder.finalize(), score,

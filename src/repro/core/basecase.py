@@ -83,8 +83,8 @@ def solve_base_case(
         local_points, end_layer = trace_from(
             mats, sub_a, sub_b, scheme, problem.nrows, problem.ncols, builder.layer
         )
-        for (li, lj) in local_points:
-            builder.append((problem.i0 + li, problem.j0 + lj))
+        local_points += (problem.i0, problem.j0)
+        builder.extend(local_points)
         builder.layer = end_layer
         inst.mem.free(mats.cells)
         if sp is not None:

@@ -324,13 +324,7 @@ def fastlsa(
         if sp is not None:
             sp.set(score=result.score, subproblems=result.subproblems)
     builder = result.builder
-    i, j = builder.head
-    while i > 0:
-        i -= 1
-        builder.append((i, j))
-    while j > 0:
-        j -= 1
-        builder.append((i, j))
+    builder.extend_to_origin()
     path = builder.finalize()
 
     wall_time = time.perf_counter() - t0

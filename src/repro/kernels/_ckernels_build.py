@@ -18,6 +18,10 @@ numpy tier, not merely equivalent):
   every impossible state is stored as exactly ``NEG_INF`` and candidates
   are screened with the same ``> NEG_INF/2`` test, making the band
   matrices bit-comparable across tiers.
+* The FindPath tracebacks (``flsa_lin_trace`` / ``flsa_aff_trace``) walk
+  the stored matrices testing the numpy walk's equalities in its order,
+  with wrapping int64 adds, so they emit the same points, end layer and
+  failing cell.
 * The lane-inner best-local batch kernels run int32 cells only when the
   caller has proved every reachable value fits (see
   :func:`repro.kernels.compiled.batch_elem`); otherwise the int64
@@ -62,6 +66,15 @@ void flsa_aff_band_fill(const int16_t *a, long M, const int16_t *b, long N,
                         const int64_t *table, long A,
                         int64_t open_, int64_t extend, long dmin, long W,
                         int64_t *BH, int64_t *BE, int64_t *BF);
+long flsa_lin_trace(const int64_t *H, long N, const int16_t *a,
+                    const int16_t *b, const int64_t *table, long A,
+                    int64_t gap, long si, long sj, int64_t *pts,
+                    int64_t *at);
+long flsa_aff_trace(const int64_t *H, const int64_t *E, const int64_t *F,
+                    long N, const int16_t *a, const int16_t *b,
+                    const int64_t *table, long A,
+                    int64_t open_, int64_t extend, long si, long sj,
+                    long layer, int64_t *pts, int64_t *at);
 int flsa_batch_best_local_i32(const int16_t *a, long M,
                               const int16_t *bp, long B, long Np,
                               const int64_t *lens,
@@ -245,6 +258,111 @@ int flsa_aff_sweep(const int16_t *a, long M, const int16_t *b, long N,
     }
     free(buf);
     return 0;
+}
+
+/* Wrapping int64 add: numpy's overflow semantics, so the tracebacks test
+ * exactly the equalities repro.kernels.traceback tests. */
+static inline int64_t wadd(int64_t x, int64_t y)
+{
+    return (int64_t)((uint64_t)x + (uint64_t)y);
+}
+
+/* FindPath over a stored linear-gap H (row stride N + 1); mirrors
+ * repro.kernels.traceback.traceback_linear, DIAG > DOWN > LEFT.  Writes
+ * the visited points (traceback order, start excluded) as (i, j) pairs
+ * into pts, which holds si + sj pairs, and returns their count.  Returns
+ * -1 when no predecessor reproduces a cell; at[0..1] is then that cell. */
+long flsa_lin_trace(const int64_t *H, long N, const int16_t *a,
+                    const int16_t *b, const int64_t *table, long A,
+                    int64_t gap, long si, long sj, int64_t *pts,
+                    int64_t *at)
+{
+    const long W = N + 1;
+    long i = si, j = sj, n = 0;
+    while (i > 0 && j > 0) {
+        const long c = i * W + j;
+        const int64_t h = H[c];
+        if (h == wadd(H[c - W - 1], table[(long)a[i - 1] * A + b[j - 1]])) {
+            i--;
+            j--;
+        } else if (h == wadd(H[c - W], gap)) {
+            i--;
+        } else if (h == wadd(H[c - 1], gap)) {
+            j--;
+        } else {
+            at[0] = i;
+            at[1] = j;
+            return -1;
+        }
+        pts[2 * n] = i;
+        pts[2 * n + 1] = j;
+        n++;
+    }
+    return n;
+}
+
+/* Affine FindPath from (si, sj) in Gotoh layer `layer` (0 = H, 1 = E,
+ * 2 = F, as repro.align.path.Layer); mirrors
+ * repro.kernels.traceback.traceback_affine: in H the order is DIAG, then
+ * a switch to E, then to F; a gap layer steps one cell and returns to H
+ * when the run opened there.  Points go to pts as in flsa_lin_trace.
+ * at[0..2] receives the final (i, j, layer) — the boundary point and its
+ * layer on success, the cell no predecessor reproduces on failure (-1). */
+long flsa_aff_trace(const int64_t *H, const int64_t *E, const int64_t *F,
+                    long N, const int16_t *a, const int16_t *b,
+                    const int64_t *table, long A,
+                    int64_t open_, int64_t extend, long si, long sj,
+                    long layer, int64_t *pts, int64_t *at)
+{
+    const long W = N + 1;
+    long i = si, j = sj, n = 0;
+    long rc = 0;
+    while (i > 0 && j > 0) {
+        const long c = i * W + j;
+        if (layer == 0) {
+            const int64_t h = H[c];
+            if (h == wadd(H[c - W - 1],
+                          table[(long)a[i - 1] * A + b[j - 1]])) {
+                i--;
+                j--;
+            } else {
+                if (h == E[c])
+                    layer = 1;
+                else if (h == F[c])
+                    layer = 2;
+                else {
+                    rc = -1;
+                    break;
+                }
+                continue; /* same cell, switch layer: no point emitted */
+            }
+        } else if (layer == 1) {
+            const int64_t e = E[c];
+            if (e == wadd(H[c - 1], open_))
+                layer = 0;
+            else if (e != wadd(E[c - 1], extend)) {
+                rc = -1;
+                break;
+            }
+            j--;
+        } else {
+            const int64_t f = F[c];
+            if (f == wadd(H[c - W], open_))
+                layer = 0;
+            else if (f != wadd(F[c - W], extend)) {
+                rc = -1;
+                break;
+            }
+            i--;
+        }
+        pts[2 * n] = i;
+        pts[2 * n + 1] = j;
+        n++;
+    }
+    at[0] = i;
+    at[1] = j;
+    at[2] = layer;
+    return rc ? rc : n;
 }
 
 /* Best-cell sweep tracking the first row-major strict maximum, starting

@@ -1,7 +1,8 @@
 """numpy-signature wrappers over the cffi compiled kernels.
 
 Each function mirrors its numpy twin in :mod:`repro.kernels.linear`,
-:mod:`repro.kernels.affine` or :mod:`repro.kernels.banddp` exactly —
+:mod:`repro.kernels.affine`, :mod:`repro.kernels.banddp` or
+:mod:`repro.kernels.traceback` exactly —
 same arguments (``profile`` accepted and ignored; the C loops gather
 scores directly), same return shapes/dtypes, and bit-identical output
 words.  Degenerate sweeps (``M == 0`` or ``N == 0``) delegate to the
@@ -17,6 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..align.path import Layer
+from ..errors import PathError
 from . import affine as _aff
 from . import banddp as _banddp
 from . import batchdp as _batch
@@ -24,6 +27,7 @@ from . import linear as _lin
 from ._ckernels import ffi, lib  # noqa: F401  (ImportError => tier absent)
 from .affine import NEG_INF
 from .ops import OpCounter
+from .traceback import check_trace_start
 
 
 def _i16(x: np.ndarray) -> np.ndarray:
@@ -176,6 +180,78 @@ def sweep_matrix(
     if rc:
         raise MemoryError("flsa_lin_sweep: allocation failed")
     return H
+
+
+def trace_linear(
+    H: np.ndarray,
+    a_codes: np.ndarray,
+    b_codes: np.ndarray,
+    table: np.ndarray,
+    gap: int,
+    start_i: int,
+    start_j: int,
+) -> Tuple[np.ndarray, Layer]:
+    H = _i64(H)
+    i, j = check_trace_start(H, a_codes, b_codes, start_i, start_j)
+    a = _i16(a_codes)
+    b = _i16(b_codes)
+    tbl = _i64(table)
+    pts = np.empty((i + j, 2), dtype=np.int64)
+    at = np.empty(3, dtype=np.int64)
+    n = lib.flsa_lin_trace(
+        _ptr64(H), H.shape[1] - 1, _ptr16(a), _ptr16(b),
+        _ptr64(tbl), tbl.shape[1], int(gap), i, j, _out64(pts), _out64(at),
+    )
+    if n < 0:
+        fi, fj = int(at[0]), int(at[1])
+        raise PathError(
+            f"no predecessor reproduces H[{fi},{fj}]={int(H[fi, fj])}; "
+            "matrix inconsistent"
+        )
+    return pts[:n], Layer.H
+
+
+def trace_affine(
+    H: np.ndarray,
+    E: np.ndarray,
+    F: np.ndarray,
+    a_codes: np.ndarray,
+    b_codes: np.ndarray,
+    table: np.ndarray,
+    open_: int,
+    extend: int,
+    start_i: int,
+    start_j: int,
+    start_layer: Layer = Layer.H,
+) -> Tuple[np.ndarray, Layer]:
+    H = _i64(H)
+    E = _i64(E)
+    F = _i64(F)
+    if E.shape != H.shape or F.shape != H.shape:
+        raise ValueError(
+            f"E {E.shape} and F {F.shape} must match H {H.shape}"
+        )
+    i, j = check_trace_start(H, a_codes, b_codes, start_i, start_j)
+    layer = Layer(start_layer)
+    a = _i16(a_codes)
+    b = _i16(b_codes)
+    tbl = _i64(table)
+    pts = np.empty((i + j, 2), dtype=np.int64)
+    at = np.empty(3, dtype=np.int64)
+    n = lib.flsa_aff_trace(
+        _ptr64(H), _ptr64(E), _ptr64(F), H.shape[1] - 1, _ptr16(a), _ptr16(b),
+        _ptr64(tbl), tbl.shape[1], int(open_), int(extend), i, j, int(layer),
+        _out64(pts), _out64(at),
+    )
+    end_layer = Layer(int(at[2]))
+    if n < 0:
+        fi, fj = int(at[0]), int(at[1])
+        mat = (H, E, F)[end_layer]
+        raise PathError(
+            f"no predecessor reproduces {end_layer.name}[{fi},{fj}]="
+            f"{int(mat[fi, fj])}; matrix inconsistent"
+        )
+    return pts[:n], end_layer
 
 
 def best_cell_local(

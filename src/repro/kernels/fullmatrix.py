@@ -9,18 +9,15 @@ translate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..align.path import Layer
 from ..scoring.scheme import ScoringScheme
 from .ops import OpCounter
-from .traceback import traceback_affine, traceback_linear
 
 __all__ = ["FullMatrices", "compute_full", "trace_from"]
-
-Point = Tuple[int, int]
 
 
 @dataclass
@@ -101,21 +98,23 @@ def trace_from(
     start_i: int,
     start_j: int,
     start_layer: Layer = Layer.H,
-) -> Tuple[List[Point], Layer]:
+) -> Tuple[np.ndarray, Layer]:
     """Trace an optimal path backwards to the matrices' top/left boundary.
 
-    Returns ``(points, end_layer)`` in traceback order (see
-    :mod:`repro.kernels.traceback`); ``end_layer`` is always ``H`` for
-    linear schemes.
+    Returns ``(points, end_layer)``: the points as one ``(L, 2)`` int64
+    array in traceback order (see :mod:`repro.kernels.traceback`), run on
+    the ambient tier's provider; ``end_layer`` is always ``H`` for linear
+    schemes.
     """
+    from . import registry  # late import: registry imports compiled wrappers
+
     table = scheme.matrix.table
     if scheme.is_linear:
-        pts = traceback_linear(
+        return registry.active("linear").traceback(
             mats.H, a_codes, b_codes, table, scheme.gap_open, start_i, start_j
         )
-        return pts, Layer.H
     assert mats.E is not None and mats.F is not None
-    return traceback_affine(
+    return registry.active("affine").traceback(
         mats.H,
         mats.E,
         mats.F,

@@ -49,6 +49,7 @@ from . import affine as _aff
 from . import banddp as _banddp
 from . import batchdp as _batch
 from . import linear as _lin
+from . import traceback as _tb
 
 __all__ = [
     "KernelProvider",
@@ -91,6 +92,9 @@ class KernelProvider:
     sweep_matrix: Callable = field(repr=False)
     best_cell_local: Callable = field(repr=False)
     band_fill: Callable = field(repr=False)
+    #: FindPath over ``sweep_matrix``'s output: ``(points, end_layer)``
+    #: with the points as one ``(L, 2)`` int64 array in traceback order.
+    traceback: Callable = field(repr=False)
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -103,6 +107,7 @@ class KernelProvider:
                 "sweep_matrix",
                 "best_cell_local",
                 "band_fill",
+                "traceback",
             ],
         }
 
@@ -116,6 +121,7 @@ _NUMPY_LINEAR = KernelProvider(
     sweep_matrix=_lin.sweep_matrix,
     best_cell_local=_lin.best_cell_local,
     band_fill=_banddp.band_fill,
+    traceback=_tb.trace_linear,
 )
 
 _NUMPY_AFFINE = KernelProvider(
@@ -127,6 +133,7 @@ _NUMPY_AFFINE = KernelProvider(
     sweep_matrix=_aff.sweep_matrix_affine,
     best_cell_local=_aff.best_cell_local_affine,
     band_fill=_banddp.band_fill_affine,
+    traceback=_tb.trace_affine,
 )
 
 # tier -> kind -> provider; "compiled" entries added by _detect().
@@ -214,6 +221,31 @@ def _parity_cases() -> List[Tuple[str, Callable[[Any], bool]]]:
     lin_row, lin_col = _lin.boundary_vectors(m, n, gap)
     aff_rh, aff_rf, aff_ch, aff_ce = _aff.affine_boundaries(m, n, open_, extend)
     samples = np.array([1, n // 2, n], dtype=np.int64)
+
+    # FindPath: the fixed scheme plus a tie-heavy one (a mismatch costs
+    # exactly two gaps, and an affine open equals its extend, so DIAG,
+    # DOWN, LEFT and the H/E/F layer switches all tie), from the corner,
+    # an interior cell and a boundary cell, and for affine from each of
+    # the three layers.
+    tie = np.where(np.eye(5, dtype=bool), 2, -2).astype(np.int64)
+    starts = [(m, n), (m // 2, n - 3), (0, n), (m, 0)]
+
+    def trace_lin():
+        for tbl, g in ((table, gap), (tie, -1)):
+            row, col = _lin.boundary_vectors(m, n, g)
+            H = _lin.sweep_matrix(rng_a, rng_b, tbl, g, row, col)
+            for si, sj in starts:
+                args = (H, rng_a, rng_b, tbl, g, si, sj)
+                yield _tb.trace_linear(*args), comp.trace_linear(*args)
+
+    def trace_aff():
+        for tbl, o, e in ((table, open_, extend), (tie, -2, -2)):
+            bounds = _aff.affine_boundaries(m, n, o, e)
+            H, E, F = _aff.sweep_matrix_affine(rng_a, rng_b, tbl, o, e, *bounds)
+            for si, sj in starts:
+                for layer in (0, 1, 2):
+                    args = (H, E, F, rng_a, rng_b, tbl, o, e, si, sj, layer)
+                    yield _tb.trace_affine(*args), comp.trace_affine(*args)
 
     def eq(x, y) -> bool:
         if isinstance(x, tuple):
@@ -325,6 +357,8 @@ def _parity_cases() -> List[Tuple[str, Callable[[Any], bool]]]:
                 comp.band_fill_affine(rng_a, rng_b, table, open_, extend, 3),
             ),
         ),
+        ("traceback.linear", lambda: all(eq(x, y) for x, y in trace_lin())),
+        ("traceback.affine", lambda: all(eq(x, y) for x, y in trace_aff())),
     ]
 
     # Lane-packed batch kernels: ragged lanes (including an empty one)
@@ -492,6 +526,7 @@ def _detect() -> None:
             sweep_matrix=comp.sweep_matrix,
             best_cell_local=comp.best_cell_local,
             band_fill=comp.band_fill,
+            traceback=comp.trace_linear,
         ),
         "affine": KernelProvider(
             name="compiled",
@@ -502,6 +537,7 @@ def _detect() -> None:
             sweep_matrix=comp.sweep_matrix_affine,
             best_cell_local=comp.best_cell_local_affine,
             band_fill=comp.band_fill_affine,
+            traceback=comp.trace_affine,
         ),
     }
     _BATCH_PROVIDERS["compiled"] = BatchKernelProvider(

@@ -10,6 +10,12 @@ Coordinates are *local* to the matrix passed in; callers translate to
 global DPM coordinates.  Ties are broken deterministically
 (DIAG > DOWN > LEFT for linear; DIAG > E-layer > F-layer for affine) — any
 optimal path is acceptable, and determinism keeps tests stable.
+
+:func:`traceback_linear` / :func:`traceback_affine` are the point-by-point
+reference walks.  The kernel providers' ``traceback`` method is the
+array-valued form (:func:`trace_linear` / :func:`trace_affine` here, C
+loops in :mod:`repro.kernels.compiled`): the same points as one ``(L, 2)``
+int64 array plus the end layer, bit-identical across tiers.
 """
 
 from __future__ import annotations
@@ -21,9 +27,32 @@ import numpy as np
 from ..align.path import Layer
 from ..errors import PathError
 
-__all__ = ["traceback_linear", "traceback_affine"]
+__all__ = ["traceback_linear", "traceback_affine", "trace_linear", "trace_affine"]
 
 Point = Tuple[int, int]
+
+
+def check_trace_start(
+    H: np.ndarray, a_codes: np.ndarray, b_codes: np.ndarray, start_i: int, start_j: int
+) -> Tuple[int, int]:
+    """Validate a traceback start against ``H`` and the code arrays.
+
+    Returns the start as Python ints; raises :class:`PathError` for a start
+    outside the matrix and ``ValueError`` for a malformed matrix or code
+    arrays too short to reach the start.
+    """
+    i, j = int(start_i), int(start_j)
+    if H.ndim != 2:
+        raise ValueError(f"H must be 2-D, got shape {H.shape}")
+    M, N = H.shape[0] - 1, H.shape[1] - 1
+    if not (0 <= i <= M and 0 <= j <= N):
+        raise PathError(f"traceback start ({i}, {j}) outside matrix {H.shape}")
+    if len(a_codes) < i or len(b_codes) < j:
+        raise ValueError(
+            f"codes of lengths ({len(a_codes)}, {len(b_codes)}) cannot reach "
+            f"traceback start ({i}, {j})"
+        )
+    return i, j
 
 
 def traceback_linear(
@@ -42,10 +71,7 @@ def traceback_linear(
     empty list means the start was already on the boundary.
     """
     gap = int(gap)
-    i, j = int(start_i), int(start_j)
-    M, N = H.shape[0] - 1, H.shape[1] - 1
-    if not (0 <= i <= M and 0 <= j <= N):
-        raise PathError(f"traceback start ({i}, {j}) outside matrix {H.shape}")
+    i, j = check_trace_start(H, a_codes, b_codes, start_i, start_j)
     points: List[Point] = []
     while i > 0 and j > 0:
         h = H[i, j]
@@ -86,11 +112,8 @@ def traceback_affine(
     """
     open_ = int(open_)
     extend = int(extend)
-    i, j = int(start_i), int(start_j)
+    i, j = check_trace_start(H, a_codes, b_codes, start_i, start_j)
     layer = Layer(start_layer)
-    M, N = H.shape[0] - 1, H.shape[1] - 1
-    if not (0 <= i <= M and 0 <= j <= N):
-        raise PathError(f"traceback start ({i}, {j}) outside matrix {H.shape}")
     points: List[Point] = []
     while i > 0 and j > 0:
         if layer is Layer.H:
@@ -128,3 +151,41 @@ def traceback_affine(
             i -= 1
             points.append((i, j))
     return points, layer
+
+
+def _as_array(points: List[Point]) -> np.ndarray:
+    return np.array(points, dtype=np.int64).reshape(-1, 2)
+
+
+def trace_linear(
+    H: np.ndarray,
+    a_codes: np.ndarray,
+    b_codes: np.ndarray,
+    table: np.ndarray,
+    gap: int,
+    start_i: int,
+    start_j: int,
+) -> Tuple[np.ndarray, Layer]:
+    """:func:`traceback_linear` as ``(points (L, 2) int64, Layer.H)``."""
+    points = traceback_linear(H, a_codes, b_codes, table, gap, start_i, start_j)
+    return _as_array(points), Layer.H
+
+
+def trace_affine(
+    H: np.ndarray,
+    E: np.ndarray,
+    F: np.ndarray,
+    a_codes: np.ndarray,
+    b_codes: np.ndarray,
+    table: np.ndarray,
+    open_: int,
+    extend: int,
+    start_i: int,
+    start_j: int,
+    start_layer: Layer = Layer.H,
+) -> Tuple[np.ndarray, Layer]:
+    """:func:`traceback_affine` as ``(points (L, 2) int64, end_layer)``."""
+    points, layer = traceback_affine(
+        H, E, F, a_codes, b_codes, table, open_, extend, start_i, start_j, start_layer
+    )
+    return _as_array(points), layer

@@ -168,13 +168,7 @@ def align_to_profile(
     builder = PathBuilder((m, n))
     pts = _trace_profile(H, codes, pssm, gap, m, n)
     builder.extend(pts)
-    i, j = builder.head
-    while i > 0:
-        i -= 1
-        builder.append((i, j))
-    while j > 0:
-        j -= 1
-        builder.append((i, j))
+    builder.extend_to_origin()
     path = builder.finalize()
     inst.mem.free(H.size)
 

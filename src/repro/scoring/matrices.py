@@ -44,6 +44,7 @@ class SubstitutionMatrix:
     table: np.ndarray
     name: str = "custom"
     _code_of: Mapping[str, int] = field(init=False, repr=False, compare=False, default=None)
+    _lut: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.alphabet:
@@ -66,6 +67,15 @@ class SubstitutionMatrix:
         object.__setattr__(
             self, "_code_of", {sym: i for i, sym in enumerate(self.alphabet)}
         )
+        # Code-point lookup table for encode(): one entry per code point up
+        # to the alphabet's highest (at least the 256 of Latin-1), plus a
+        # last -1 entry that every higher code point is clipped onto.
+        size = max(256, max(map(ord, self.alphabet)) + 1)
+        lut = np.full(size + 1, -1, dtype=np.int16)
+        for i, sym in enumerate(self.alphabet):
+            lut[ord(sym)] = i
+        lut.setflags(write=False)
+        object.__setattr__(self, "_lut", lut)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -117,23 +127,27 @@ class SubstitutionMatrix:
         return len(self.alphabet)
 
     def encode(self, text: str) -> np.ndarray:
-        """Encode ``text`` into an ``int16`` code array.
+        """Encode ``text`` into an ``int16`` code array (one table lookup
+        per symbol's code point).
 
         Raises
         ------
         AlphabetError
             If any symbol is not part of the alphabet.
         """
-        codes = np.empty(len(text), dtype=np.int16)
-        code_of = self._code_of
-        try:
-            for i, ch in enumerate(text):
-                codes[i] = code_of[ch]
-        except KeyError as exc:
+        if not isinstance(text, str):
+            text = "".join(text)  # a Sequence, or any iterable of symbols
+        lut = self._lut
+        points = np.frombuffer(
+            text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+        )
+        codes = lut[np.minimum(points, len(lut) - 1)]
+        if (codes < 0).any():
+            i = int(np.argmax(codes < 0))
             raise AlphabetError(
-                f"symbol {exc.args[0]!r} at position {i} is not in alphabet "
+                f"symbol {text[i]!r} at position {i} is not in alphabet "
                 f"{self.alphabet!r} of matrix {self.name!r}"
-            ) from None
+            )
         return codes
 
     def decode(self, codes: np.ndarray) -> str:

@@ -49,6 +49,26 @@ class TestAlignment:
                 score=0,
             )
 
+    @pytest.mark.parametrize("ga,gb,ok", [
+        ("A-C-", "-GTA", True),    # gaps in both strings, never the same column
+        ("AC--", "A--T", False),   # the gap-gap column is not the first
+        ("\u00e9-", "\u00e9-", False),
+    ])
+    def test_gap_gap_column_anywhere(self, ga, gb, ok):
+        def build():
+            return Alignment(
+                seq_a=Sequence(ga.replace("-", ""), name="a"),
+                seq_b=Sequence(gb.replace("-", ""), name="b"),
+                gapped_a=ga,
+                gapped_b=gb,
+                score=0,
+            )
+        if ok:
+            assert len(build()) == len(ga)
+        else:
+            with pytest.raises(AlignmentError, match="aligns a gap with a gap"):
+                build()
+
     def test_gap_gap_column_rejected(self):
         with pytest.raises(AlignmentError):
             Alignment(

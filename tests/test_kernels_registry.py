@@ -50,7 +50,7 @@ class TestProviderAPI:
             assert prov.scheme_kind == kind
             assert prov.compiled is False
             for method in ("sweep_last_row_col", "sweep_band", "sweep_matrix",
-                           "best_cell_local", "band_fill"):
+                           "best_cell_local", "band_fill", "traceback"):
                 assert callable(getattr(prov, method))
 
     def test_describe_shape(self):
@@ -116,11 +116,12 @@ class TestParityReport:
         rep = registry.parity_report()
         assert rep["parity_ok"] is True
         # 12 per-pair checks (the best-cell sweep both clamped and
-        # unclamped) + 8 batch-kernel checks (a multi-block pack and the
-        # int64 instance among them).
-        assert len(rep["checks"]) == 20
+        # unclamped) + 2 FindPath tracebacks + 8 batch-kernel checks (a
+        # multi-block pack and the int64 instance among them).
+        assert len(rep["checks"]) == 22
         names = {c["name"] for c in rep["checks"]}
         assert {"linear.best_cell_global", "affine.best_cell_global"} <= names
+        assert {"traceback.linear", "traceback.affine"} <= names
         assert {"batch.best_cell_local_affine.wide",
                 "batch.best_cell_local.int64"} <= names
         assert all(c["ok"] for c in rep["checks"])
@@ -163,6 +164,14 @@ class TestStaleBuildGuard:
         del mod.lib.flsa_aff_batch_score_global
         assert registry._stale_entry_points(mod.ffi, mod.lib) == [
             "flsa_lin_best_local", "flsa_aff_batch_score_global",
+        ]
+
+    def test_missing_traceback_entry_points_detected(self):
+        mod = self._fake_module()
+        del mod.lib.flsa_lin_trace
+        del mod.lib.flsa_aff_trace
+        assert registry._stale_entry_points(mod.ffi, mod.lib) == [
+            "flsa_lin_trace", "flsa_aff_trace",
         ]
 
     def test_detect_disables_tier_with_rebuild_hint(self, monkeypatch):

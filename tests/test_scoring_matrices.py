@@ -88,6 +88,53 @@ class TestEncoding:
         with pytest.raises(AlphabetError, match="'X'"):
             m.encode("ACXGT")
 
+    @staticmethod
+    def _encode_by_loop(m, text):
+        """Reference: the symbol-by-symbol dictionary walk."""
+        codes = np.empty(len(text), dtype=np.int16)
+        for i, ch in enumerate(text):
+            if ch not in m.alphabet:
+                raise AlphabetError(
+                    f"symbol {ch!r} at position {i} is not in alphabet "
+                    f"{m.alphabet!r} of matrix {m.name!r}"
+                )
+            codes[i] = m.alphabet.index(ch)
+        return codes
+
+    @pytest.mark.parametrize("text,bad,pos", [
+        ("ACGTN", "N", 4),        # ASCII outside the alphabet
+        ("AC\u00e9GT", "\u00e9", 2),  # Latin-1 outside the alphabet
+        ("ACG\u03b1T", "\u03b1", 3),  # beyond Latin-1 (code point >= 256)
+        ("\U0001f600", "\U0001f600", 0),
+        ("AC\ud800", "\ud800", 2),    # a lone surrogate
+        ("acgt", "a", 0),         # case matters
+    ])
+    def test_unknown_symbol_names_symbol_and_position(self, text, bad, pos):
+        m = identity_matrix("ACGT")
+        with pytest.raises(AlphabetError) as exc:
+            m.encode(text)
+        assert str(exc.value) == (
+            f"symbol {bad!r} at position {pos} is not in alphabet 'ACGT' "
+            f"of matrix {m.name!r}"
+        )
+        with pytest.raises(AlphabetError) as ref:
+            self._encode_by_loop(m, text)
+        assert str(ref.value) == str(exc.value)
+
+    def test_empty_string_gives_empty_int16(self):
+        codes = identity_matrix("ACGT").encode("")
+        assert codes.dtype == np.int16 and codes.shape == (0,)
+
+    def test_matches_loop_reference(self, rng):
+        for alphabet in ("ACGT", "ARNDCQEGHILKMFPSTWYVBZX*", "\u00e9x\u03b1"):
+            m = identity_matrix(alphabet)
+            for n in (1, 7, 300):
+                text = "".join(alphabet[k] for k in rng.integers(0, len(alphabet), n))
+                codes = m.encode(text)
+                assert codes.dtype == np.int16
+                np.testing.assert_array_equal(codes, self._encode_by_loop(m, text))
+                np.testing.assert_array_equal(m.encode(list(text)), codes)
+
     def test_score_unknown_symbol(self):
         m = identity_matrix("ACGT")
         with pytest.raises(AlphabetError):
